@@ -1,0 +1,29 @@
+(* Just enough JSON output for the benchmark's report lines. *)
+
+let str s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* Every digit the float carries; non-finite values have no JSON form. *)
+let num f = if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
+let int = string_of_int
+let bool = string_of_bool
+let opt f = function None -> "null" | Some x -> f x
+
+let obj fields =
+  "{"
+  ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields)
+  ^ "}"
+
+let arr items = "[" ^ String.concat "," items ^ "]"

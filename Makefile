@@ -54,16 +54,26 @@ por:
 	$(DUNE) exec bin/hbverify.exe -- pa-smoke --json > _build/hbpor-2.json
 	cmp _build/hbpor-1.json _build/hbpor-2.json
 
-# Parallel-engine gate: the qcheck parity harness for the
-# work-stealing engine (spaces byte-identical to Mc.Explore across
-# engines x stores x domain counts, goal and truncation verdicts in
-# parity), the store-compression units (hash-compaction, bitstate
-# coverage estimates, collision injection), and the POR soundness
-# suite including the parallel cycle proviso.
+# Parallel-engine gate: the qcheck parity harness for the parallel
+# engine (spaces byte-identical to Mc.Explore across stores x domain
+# counts, goal and truncation verdicts in parity), the
+# store-compression units (hash-compaction, bitstate coverage
+# estimates, collision injection), the POR soundness suite including
+# the parallel cycle proviso, then a CLI check that hbexplore stats
+# prints the same bytes, plain and --json, on the sequential route
+# (-j 1) and the parallel one (-j 2).
 par:
 	$(DUNE) exec test/main.exe -- test pexplore
 	$(DUNE) exec test/main.exe -- test store
 	$(DUNE) exec test/main.exe -- test por
+	for j in 1 2; do \
+	  $(DUNE) exec bin/hbexplore.exe -- stats -v dynamic --tmax 20 -j $$j \
+	    > _build/hbpar-$$j.out && \
+	  $(DUNE) exec bin/hbexplore.exe -- stats -v dynamic --tmax 20 -j $$j \
+	    --json > _build/hbpar-$$j.json || exit 1; \
+	done
+	cmp _build/hbpar-1.out _build/hbpar-2.out
+	cmp _build/hbpar-1.json _build/hbpar-2.json
 
 # Resilience gate: the budget/checkpoint/degradation/quarantine suite
 # (qcheck suspend/resume round trips, store-ladder degradation, raising

@@ -267,11 +267,12 @@ let parallel_report () =
       ("ternary static n=2 (2,6)", ternary_system ()) ]
 
 (* ------------------------------------------------------------------ *)
-(* Part 1d: engine sweep — BENCH_pr6.json                               *)
+(* Part 1d: shared measurement helpers                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* VmHWM from /proc/self/status in kB (0 when unavailable): the peak
-   resident set over the whole process life, sampled after the sweep. *)
+   resident set over the whole process life, sampled at the end of a
+   report. *)
 let peak_rss_kb () =
   try
     let ic = open_in "/proc/self/status" in
@@ -295,154 +296,6 @@ let peak_rss_kb () =
     close_in ic;
     r
   with Sys_error _ -> 0
-
-(* Simulator event throughput: one long deterministic run, counting the
-   full protocol/channel trace. *)
-let events_per_sec () =
-  let params = H.Params.make ~tmin:2 ~tmax:10 () in
-  let cfg =
-    H.Runtime.config ~kind:H.Runtime.Halving ~duration:50_000.0 params
-  in
-  let events = ref 0 in
-  let _, t = time (fun () -> H.Runtime.run ~on_event:(fun _ -> incr events) cfg) in
-  (!events, float_of_int !events /. t)
-
-(* The six-variant sweep behind the PR's acceptance criterion: for every
-   shipped TA protocol, the sequential engine vs the level-synchronised
-   and the work-stealing parallel engines at 1/2/4 domains, with replay
-   byte-identity checked against the sequential space on every run. *)
-let pr6_report () =
-  let sweep_domains = [ 1; 2; 4 ] in
-  let sweep =
-    List.map
-      (fun v -> (v, H.Params.make ~tmin:2 ~tmax:8 ()))
-      H.Ta_models.all_variants
-  in
-  Format.printf
-    "@.=== PR6: work-stealing vs level-sync engine sweep ===@.@.";
-  Format.printf "(host reports %d recommended domains)@.@."
-    (Domain.recommended_domain_count ());
-  let rows =
-    List.map
-      (fun (v, params) ->
-        let sys =
-          Ta.Semantics.system
-            (Ta.Semantics.compile (H.Ta_models.build v params))
-        in
-        let (seq : (Ta.Semantics.config, Ta.Semantics.label) Mc.Explore.space),
-            t_seq =
-          time_best 3 (fun () -> Mc.Explore.space sys)
-        in
-        let states = Lts.Graph.num_states seq.Mc.Explore.lts in
-        let transitions = Lts.Graph.num_transitions seq.Mc.Explore.lts in
-        let seq_bytes =
-          Marshal.to_string
-            (seq.Mc.Explore.lts, seq.Mc.Explore.states, seq.Mc.Explore.complete)
-            [ Marshal.No_sharing ]
-        in
-        Format.printf "%-14s %a: %8d states  seq %7.3fs (%.0f st/s)@."
-          (H.Ta_models.variant_name v)
-          H.Params.pp params states t_seq
-          (float_of_int states /. t_seq);
-        let runs =
-          List.concat_map
-            (fun workstealing ->
-              List.map
-                (fun d ->
-                  let (par, stats), t =
-                    time_best 3 (fun () ->
-                        Mc.Pexplore.space_stats ~domains:d ~workstealing sys)
-                  in
-                  let identical =
-                    String.equal seq_bytes
-                      (Marshal.to_string
-                         (par.Mc.Explore.lts, par.Mc.Explore.states,
-                          par.Mc.Explore.complete)
-                         [ Marshal.No_sharing ])
-                  in
-                  Format.printf
-                    "  %-12s %d dom %7.3fs  speedup %5.2fx  %s  (%d steals)@."
-                    stats.Mc.Pexplore.engine d t (t_seq /. t)
-                    (if identical then "byte-identical" else "MISMATCH")
-                    stats.Mc.Pexplore.steals;
-                  (stats.Mc.Pexplore.engine, d, t, stats, identical))
-                sweep_domains)
-            [ true; false ]
-        in
-        (v, params, states, transitions, t_seq, runs))
-      sweep
-  in
-  let wall engine d =
-    List.fold_left
-      (fun acc (_, _, _, _, _, runs) ->
-        List.fold_left
-          (fun acc (e, d', t, _, _) ->
-            if String.equal e engine && d' = d then acc +. t else acc)
-          acc runs)
-      0. rows
-  in
-  let ws4 = wall "workstealing" 4 and lv4 = wall "levels" 4 in
-  Format.printf
-    "@.sweep wall at 4 domains: workstealing %.3fs vs levels %.3fs (%.2fx)@."
-    ws4 lv4 (lv4 /. ws4);
-  let n_events, ev_rate = events_per_sec () in
-  Format.printf "simulator: %d events, %.0f events/s@." n_events ev_rate;
-  let por =
-    List.map
-      (fun (v, n, tmin, tmax) ->
-        let params = H.Params.make ~n ~tmin ~tmax () in
-        let full = H.Pa_verify.explore v params in
-        let red = H.Pa_verify.explore ~reduce:true v params in
-        ( v, n, tmin, tmax, full.H.Pa_verify.states, red.H.Pa_verify.states ))
-      por_points
-  in
-  let rss = peak_rss_kb () in
-  Format.printf "peak RSS: %d kB@." rss;
-  (* machine-readable artifact *)
-  let oc = open_out "BENCH_pr6.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\"tool\":\"bench\",\"section\":\"pr6\",\n";
-  p " \"host_recommended_domains\":%d,\"samples_per_cell\":3,\n"
-    (Domain.recommended_domain_count ());
-  p " \"sweep\":[\n";
-  List.iteri
-    (fun k (v, params, states, transitions, t_seq, runs) ->
-      if k > 0 then p ",\n";
-      p
-        "  {\"variant\":\"%s\",\"tmin\":%d,\"tmax\":%d,\"n\":%d,\"states\":%d,\"transitions\":%d,\"seq_wall_s\":%.4f,\"seq_states_per_sec\":%.0f,\"runs\":["
-        (H.Ta_models.variant_name v)
-        params.H.Params.tmin params.H.Params.tmax params.H.Params.n states
-        transitions t_seq
-        (float_of_int states /. t_seq);
-      List.iteri
-        (fun j (engine, d, t, (stats : Mc.Pexplore.stats), identical) ->
-          if j > 0 then p ",";
-          p
-            "{\"engine\":\"%s\",\"domains\":%d,\"wall_s\":%.4f,\"states_per_sec\":%.0f,\"speedup_vs_seq\":%.3f,\"byte_identical\":%b,\"steals\":%d}"
-            engine d t
-            (float_of_int states /. t)
-            (t_seq /. t) identical stats.Mc.Pexplore.steals)
-        runs;
-      p "]}")
-    rows;
-  p "\n ],\n";
-  p " \"ws4_wall_s\":%.4f,\"levels4_wall_s\":%.4f,\"ws4_speedup_vs_levels4\":%.3f,\"ws_beats_levels_at_4\":%b,\n"
-    ws4 lv4 (lv4 /. ws4) (ws4 < lv4);
-  p " \"sim_events\":%d,\"sim_events_per_sec\":%.0f,\n" n_events ev_rate;
-  p " \"peak_rss_kb\":%d,\n" rss;
-  p " \"por\":[";
-  List.iteri
-    (fun k (v, n, tmin, tmax, full, red) ->
-      if k > 0 then p ",";
-      p
-        "{\"variant\":\"%s\",\"n\":%d,\"tmin\":%d,\"tmax\":%d,\"full_states\":%d,\"reduced_states\":%d,\"reduction_ratio\":%.2f}"
-        (H.Pa_models.variant_name v)
-        n tmin tmax full red
-        (float_of_int full /. float_of_int red))
-    por;
-  p "]}\n";
-  close_out oc;
-  Format.printf "wrote BENCH_pr6.json@."
 
 (* ------------------------------------------------------------------ *)
 (* Part 1e: resilience costs — BENCH_pr7.json                           *)
@@ -592,7 +445,7 @@ let pr7_report () =
 (* ------------------------------------------------------------------ *)
 
 (* Cost/benefit of the static slice, alone and composed with the
-   ample-set reduction: the TA family at the pr6 sweep point (where the
+   ample-set reduction: the TA family at tmin=2, tmax=8 (where the
    property-free slice wins through clock activity and dead writes),
    the PA family at the POR measurement points (slice alone, POR alone,
    slice-then-POR), plus the analysis-cache counters so the memoisation
@@ -1147,7 +1000,6 @@ let () =
   let tables_only = has "--tables-only" in
   if has "--parallel-only" then parallel_report ()
   else if has "--por-only" then por_report ()
-  else if has "--pr6-only" then pr6_report ()
   else if has "--pr7-only" then pr7_report ()
   else if has "--pr8-only" then pr8_report ()
   else if has "--pr9-only" then pr9_report ()

@@ -91,9 +91,9 @@ let resume_arg =
    is the SIGINT/SIGTERM cancellation token that turns Ctrl-C into a
    partial result (plus checkpoint) instead of a dead process.  A second
    signal force-quits with 130. *)
-let budget ?(signals = true) secs mb =
+let budget secs mb =
   let b = Mc.Budget.make ?wall_secs:secs ?mem_mb:mb () in
-  if signals then Mc.Budget.install_signal_handlers b;
+  Mc.Budget.install_signal_handlers b;
   b
 
 let save_checkpoint ~kind file cursor =

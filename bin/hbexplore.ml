@@ -80,15 +80,6 @@ let store_arg =
            quantifies the omission risk. Violations and deadlocks that \
            $(i,are) reported remain real.")
 
-let levels_arg =
-  Arg.(
-    value & flag
-    & info [ "levels" ]
-        ~doc:
-          "Use the level-synchronised parallel engine instead of the \
-           work-stealing default (baseline for benchmarks; no bitstate \
-           support).")
-
 let resolve_jobs jobs =
   if jobs < 0 then failwith "--jobs must be >= 0"
   else if jobs = 0 then Domain.recommended_domain_count ()
@@ -187,19 +178,19 @@ let zone_stats ~variant ~params ~fixed ~monitors ~subsume ~lu ~json header =
 
 let stats_cmd =
   let run variant tmin tmax n fixed monitors slice zone no_subsume lu jobs
-      show_stats store levels count_only json bsecs bmb no_degrade ckpt
+      show_stats store count_only json bsecs bmb no_degrade ckpt
       ckpt_every resume_file =
     let jobs = resolve_jobs jobs in
     let params = H.Params.make ~n ~tmin ~tmax () in
     if zone then begin
       if
-        slice || levels || count_only
+        slice || count_only
         || store <> Mc.Store.Exact
         || jobs > 1 || ckpt <> None || resume_file <> None
       then
         failwith
           "--zone is sequential with an exact store (drop --slice, --store, \
-           --levels, --count, -j, --checkpoint and --resume)";
+           --count, -j, --checkpoint and --resume)";
       let header ppf () =
         Format.fprintf ppf "%s%s %a%s"
           (H.Ta_models.variant_name variant)
@@ -241,15 +232,9 @@ let stats_cmd =
         Ta.Semantics.system net
     in
     let max_states = 10_000_000 in
-    let workstealing = if levels then Some false else None in
     let count_mode =
       count_only || match store with Mc.Store.Bitstate _ -> true | _ -> false
     in
-    if levels && (bsecs <> None || bmb <> None || ckpt <> None
-                  || resume_file <> None) then
-      failwith
-        "budgets and checkpoints require the work-stealing engine (drop \
-         --levels)";
     if count_mode && (ckpt <> None || resume_file <> None) then
       failwith
         "--checkpoint/--resume need the state graph (drop --count; bitstate \
@@ -282,9 +267,7 @@ let stats_cmd =
         | Some t -> Printf.sprintf "\"transitions\":%d," t
         | None -> "")
         complete
-        (match coverage with
-        | Some c -> Cli_resilience.coverage_json c
-        | None -> "null")
+        (Cli_resilience.coverage_json coverage)
         (match exhausted with
         | Some r -> Printf.sprintf "\"%s\"" (Mc.Budget.reason_name r)
         | None -> "null")
@@ -292,8 +275,6 @@ let stats_cmd =
            (List.map (fun m -> "\"" ^ m ^ "\"") degraded))
     in
     if count_mode then begin
-      if levels then
-        failwith "bitstate requires the work-stealing engine (drop --levels)";
       let budget = Cli_resilience.budget bsecs bmb in
       let (count, complete), stats =
         Mc.Pexplore.count_stats ~max_states ~domains:jobs ~store ~budget
@@ -301,7 +282,7 @@ let stats_cmd =
       in
       if json then
         json_result ~states:count ~transitions:None ~complete
-          ~coverage:(Some stats.Mc.Pexplore.coverage)
+          ~coverage:stats.Mc.Pexplore.coverage
           ~exhausted:stats.Mc.Pexplore.exhausted
           ~degraded:stats.Mc.Pexplore.degraded
       else begin
@@ -327,16 +308,9 @@ let stats_cmd =
     else begin
       let sequential =
         jobs <= 1 && (not show_stats) && store = Mc.Store.Exact
-        && workstealing = None
       in
       let result, stats =
-        if levels then
-          let space, stats =
-            Mc.Pexplore.space_stats ~max_states ~domains:jobs ~store
-              ?workstealing sys
-          in
-          (Mc.Explore.Done space, Some stats)
-        else if sequential then begin
+        if sequential then begin
           let budget = Cli_resilience.budget bsecs bmb in
           let resume = Cli_resilience.load_resume ~kind resume_file in
           let checkpoint =
@@ -358,20 +332,26 @@ let stats_cmd =
           (result, Some stats)
         end
       in
+      (* the sequential route always runs an exact store, so its coverage
+         is the exact one and the JSON does not depend on -j *)
+      let coverage ~stored =
+        match stats with
+        | Some s -> s.Mc.Pexplore.coverage
+        | None -> Mc.Store.coverage_of ~mode:Mc.Store.exact ~stored
+      in
+      let degraded =
+        match stats with Some s -> s.Mc.Pexplore.degraded | None -> []
+      in
       match result with
       | Mc.Explore.Done space ->
+          let states = Lts.Graph.num_states space.Mc.Explore.lts in
           if json then
-            json_result
-              ~states:(Lts.Graph.num_states space.Mc.Explore.lts)
+            json_result ~states
               ~transitions:
                 (Some (Lts.Graph.num_transitions space.Mc.Explore.lts))
               ~complete:space.Mc.Explore.complete
-              ~coverage:(Option.map (fun s -> s.Mc.Pexplore.coverage) stats)
-              ~exhausted:None
-              ~degraded:
-                (match stats with
-                | Some s -> s.Mc.Pexplore.degraded
-                | None -> [])
+              ~coverage:(coverage ~stored:states)
+              ~exhausted:None ~degraded
           else begin
             Format.printf "%a: %a (%s)@." header ()
               Lts.Graph.pp_stats space.Mc.Explore.lts
@@ -394,12 +374,8 @@ let stats_cmd =
           let frontier = Mc.Explore.cursor_frontier cursor in
           if json then
             json_result ~states ~transitions:None ~complete:false
-              ~coverage:(Option.map (fun s -> s.Mc.Pexplore.coverage) stats)
-              ~exhausted:(Some reason)
-              ~degraded:
-                (match stats with
-                | Some s -> s.Mc.Pexplore.degraded
-                | None -> [])
+              ~coverage:(coverage ~stored:states)
+              ~exhausted:(Some reason) ~degraded
           else
             Format.printf
               "%a: EXHAUSTED (%a) — %d states interned, %d frontier states \
@@ -419,7 +395,7 @@ let stats_cmd =
       $ monitors_arg $ slice_arg $ zone_arg $ no_subsume_arg $ lu_arg
       $ jobs_arg
       $ exploration_stats_arg $ store_arg
-      $ levels_arg $ count_arg $ json_arg $ Cli_resilience.budget_secs_arg
+      $ count_arg $ json_arg $ Cli_resilience.budget_secs_arg
       $ Cli_resilience.budget_mb_arg $ Cli_resilience.no_degrade_arg
       $ Cli_resilience.checkpoint_arg $ Cli_resilience.checkpoint_every_arg
       $ Cli_resilience.resume_arg)
@@ -670,16 +646,12 @@ let fc_cmd =
     Term.(const run $ name_arg $ fischer_n_arg $ zones_arg $ json_arg)
 
 let deadlocks_cmd =
-  let run variant tmin tmax n fixed jobs store levels bsecs bmb no_degrade =
+  let run variant tmin tmax n fixed jobs store bsecs bmb no_degrade =
     let jobs = resolve_jobs jobs in
-    let workstealing = if levels then Some false else None in
-    if levels && (bsecs <> None || bmb <> None) then
-      failwith
-        "budgets require the work-stealing engine (drop --levels)";
-    let budget = Cli_resilience.budget ~signals:(not levels) bsecs bmb in
+    let budget = Cli_resilience.budget bsecs bmb in
     let params = H.Params.make ~n ~tmin ~tmax () in
     let verdict =
-      H.Verify.deadlocks ~fixed ~domains:jobs ~store ?workstealing ~budget
+      H.Verify.deadlocks ~fixed ~domains:jobs ~store ~budget
         ~degrade:(not no_degrade) variant params
     in
     let line s =
@@ -712,7 +684,7 @@ let deadlocks_cmd =
        ~doc:"Check a model for deadlocked configurations.")
     Term.(
       const run $ variant_arg $ tmin_arg $ tmax_arg $ n_arg $ fixed_arg
-      $ jobs_arg $ store_arg $ levels_arg $ Cli_resilience.budget_secs_arg
+      $ jobs_arg $ store_arg $ Cli_resilience.budget_secs_arg
       $ Cli_resilience.budget_mb_arg $ Cli_resilience.no_degrade_arg)
 
 let () =

@@ -90,20 +90,6 @@ let req_arg =
 (* JSON rendering (deterministic: fixed key order, no hash iteration)  *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let step_string = function
   | Ltl.Check.Step Ta.Semantics.Delay -> "tick"
   | Ltl.Check.Step (Ta.Semantics.Act a) -> a
@@ -116,7 +102,9 @@ let pa_step_string = function
 let json_steps to_string steps =
   "["
   ^ String.concat ","
-      (List.map (fun s -> "\"" ^ json_escape (to_string s) ^ "\"") steps)
+      (List.map
+         (fun s -> "\"" ^ Cli_resilience.json_escape (to_string s) ^ "\"")
+         steps)
   ^ "]"
 
 (* State-space statistics of the model being checked (not of the Büchi
@@ -178,9 +166,11 @@ let verdict_json ~model ~variant ~params ~fixed ~slice ~reduce ~engine ~req
     params.H.Params.n fixed slice reduce (H.Requirements.name req)
     (match engine with Ltl.Check.Ndfs -> "ndfs" | Ltl.Check.Scc -> "scc");
   bprintf buf "\"formula\":\"%s\",\"fairness\":[%s],\"stats\":%s,"
-    (json_escape formula)
+    (Cli_resilience.json_escape formula)
     (String.concat ","
-       (List.map (fun n -> "\"" ^ json_escape n ^ "\"") fairness_names))
+       (List.map
+          (fun n -> "\"" ^ Cli_resilience.json_escape n ^ "\"")
+          fairness_names))
     stats;
   (match verdict with
   | Ltl.Check.Holds -> bprintf buf "\"verdict\":\"holds\"}"

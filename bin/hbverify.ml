@@ -887,6 +887,11 @@ let xta_cmd =
       value & pos 0 (some file) None
       & info [] ~docv:"FILE" ~doc:"An UPPAAL .xta model file.")
   in
+  (* a malformed or out-of-fragment model is an input error (exit 2) *)
+  let reject msg =
+    Format.eprintf "hbverify xta: %s@." msg;
+    exit 2
+  in
   let run file fc forbid lu json =
     let model, forbid, expect_name =
       match (fc, file) with
@@ -899,11 +904,18 @@ let xta_cmd =
           let len = in_channel_length ic in
           let src = really_input_string ic len in
           close_in ic;
-          (Ta.Xta.parse src, forbid, Filename.basename path)
+          let model =
+            try Ta.Xta.parse src
+            with Ta.Xta.Parse_error msg -> reject (path ^ ": " ^ msg)
+          in
+          (model, forbid, Filename.basename path)
       | None, None -> failwith "need a FILE or --fc NAME"
     in
     if forbid = [] then failwith "no --forbid sets given";
-    let z = Zone.Sym.compile ~lu model in
+    let z =
+      try Zone.Sym.compile ~lu model
+      with Zone.Sym.Unsupported msg -> reject (expect_name ^ ": " ^ msg)
+    in
     let net = Zone.Sym.net z in
     let spec = { Fc.fc_name = expect_name; model; forbid; safe = true } in
     let stats = Zone.Reach.new_stats () in

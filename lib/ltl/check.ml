@@ -329,21 +329,16 @@ let bfs_cycle g comp c a =
    shortest lasso into it by breadth-first search — deterministic, and
    minimal in prefix length. *)
 let scc_emptiness (type p m) ?(domains = 1) ?(store = Mc.Store.Exact)
-    ?workstealing ?budget ?checkpoint ?resume (sys : (p, m) Mc.System.t)
+    ?budget ?checkpoint ?resume (sys : (p, m) Mc.System.t)
     ~(accepting : p -> bool) ~max_states =
-  let resilient = budget <> None || checkpoint <> None || resume <> None in
   let run =
-    (* the parallel engine's replay mode reproduces Explore.space
+    (* the parallel engine's canonical replay reproduces Explore.space
        byte-for-byte, so the graph (and hence the lasso) is unchanged *)
-    if domains <= 1 && store = Mc.Store.Exact && workstealing = None then
+    if domains <= 1 && store = Mc.Store.Exact then
       Mc.Explore.space_run ~max_states ?budget ?checkpoint ?resume sys
-    else if not resilient then
-      Mc.Explore.Done
-        (Mc.Pexplore.space ~max_states ~domains ~store ?workstealing sys)
     else
-      (* resilience needs the work-stealing engine; degradation is off
-         because a compressed product space cannot carry the lasso
-         extraction (state identities degrade away) *)
+      (* degradation is off because a compressed product space cannot
+         carry the lasso extraction (state identities degrade away) *)
       fst
         (Mc.Pexplore.space_run ~max_states ~domains ~store ?budget
            ~degrade:false ?resume sys)
@@ -375,7 +370,7 @@ let scc_emptiness (type p m) ?(domains = 1) ?(store = Mc.Store.Exact)
 
 let check_run ?(engine = Ndfs) ?(stutter = Extend) ?(fairness = []) ?slice
     ?reduction ?(max_states = Mc.Explore.default_max) ?domains ?store
-    ?workstealing ?budget ?checkpoint ?resume sys f =
+    ?budget ?checkpoint ?resume sys f =
   (* a slice replaces the base system before the reduction callback is
      consulted: the reduction, when also given, was built over the
      sliced model upstream *)
@@ -414,8 +409,8 @@ let check_run ?(engine = Ndfs) ?(stutter = Extend) ?(fairness = []) ?slice
     match engine with
     | Ndfs -> ndfs_emptiness ?budget psys ~accepting ~max_states
     | Scc ->
-        scc_emptiness ?domains ?store ?workstealing ?budget ?checkpoint
-          ?resume psys ~accepting ~max_states
+        scc_emptiness ?domains ?store ?budget ?checkpoint ?resume psys
+          ~accepting ~max_states
   in
   match result with
   | SEmpty -> Concluded Holds
@@ -433,10 +428,10 @@ let check_run ?(engine = Ndfs) ?(stutter = Extend) ?(fairness = []) ?slice
   | SSusp (reason, cursor) -> Suspended (reason, cursor)
 
 let check ?engine ?stutter ?fairness ?slice ?reduction ?max_states ?domains
-    ?store ?workstealing ?budget sys f =
+    ?store ?budget sys f =
   match
     check_run ?engine ?stutter ?fairness ?slice ?reduction ?max_states
-      ?domains ?store ?workstealing ?budget sys f
+      ?domains ?store ?budget sys f
   with
   | Concluded v -> v
   | Suspended (reason, cursor) ->

@@ -93,7 +93,6 @@ val check :
   ?max_states:int ->
   ?domains:int ->
   ?store:Mc.Store.mode ->
-  ?workstealing:bool ->
   ?budget:Mc.Budget.t ->
   ('s, 'l) Mc.System.t ->
   'l Formula.t ->
@@ -121,14 +120,14 @@ val check :
     independent actions in a different order than an unreduced search
     would report.
 
-    [domains], [store] and [workstealing] affect the {!Scc} engine
-    only: its product graph is then built with {!Mc.Pexplore} (replay
-    mode, byte-identical to the sequential graph under the exact
-    store), so verdicts and lassos are unchanged at any domain count.
+    [domains] and [store] affect the {!Scc} engine only: its product
+    graph is then built with {!Mc.Pexplore} (byte-identical to the
+    sequential graph under the exact store), so verdicts and lassos are
+    unchanged at any domain count.
     Combining [domains > 1] with [reduction] requires a parallel-safe
     reduction ([Por.reduction ~par:true]).  {!Ndfs} is inherently
     sequential (its stack colouring has no parallel analogue here) and
-    ignores all three.  A {!Store.Bitstate} store is rejected by the
+    ignores both.  A {!Store.Bitstate} store is rejected by the
     {!Scc} engine (no state graph); {!Store.Hash_compaction} makes a
     [Holds] verdict probabilistic in the usual under-approximating
     sense.
@@ -147,7 +146,6 @@ val check_run :
   ?max_states:int ->
   ?domains:int ->
   ?store:Mc.Store.mode ->
-  ?workstealing:bool ->
   ?budget:Mc.Budget.t ->
   ?checkpoint:(int * (('s, 'l) product_cursor -> unit)) ->
   ?resume:('s, 'l) product_cursor ->

@@ -1,28 +1,23 @@
 (** Parallel explicit-state exploration (OCaml 5 domains).
 
-    Two engines share a sharded, lock-striped state table ({!Store}):
+    Work-stealing over a sharded, lock-striped state table ({!Store}):
+    every domain owns a chunked deque of work items; owners push and pop
+    whole chunks in discovery order, idle domains steal the oldest half
+    of a victim's chunks (the BFS-shallowest, hence largest, remaining
+    subtrees).  Termination is detected with a global pending-chunk
+    counter.  Items carry BFS depth stamps that are {e relaxed} —
+    re-enqueued with the shorter depth — whenever a shorter path to a
+    known state is found, which keeps truncation under [max_states]
+    exact: a state is only skipped when its stamped depth exceeds the
+    smallest depth whose cumulative state count reaches the bound, so
+    every state the sequential engine would retain is interned and
+    expanded.
 
-    - The {e work-stealing} engine (default): every domain owns a
-      chunked deque of work items; owners push and pop whole chunks at
-      the newest end, idle domains steal the oldest half of a victim's
-      chunks (the BFS-shallowest, hence largest, remaining subtrees).
-      Termination is detected with a global pending-item counter.  Items
-      carry BFS depth stamps that are {e relaxed} — re-enqueued with the
-      shorter depth — whenever a shorter path to a known state is found,
-      which keeps truncation under [max_states] exact: a state is only
-      skipped when its stamped depth exceeds the smallest depth whose
-      cumulative state count reaches the bound, so every state the
-      sequential engine would retain is interned and expanded.
-
-    - The {e level-synchronised} engine ([~workstealing:false]): each
-      BFS level is split into contiguous chunks, one per domain, with a
-      barrier per level.  This is the baseline the work-stealing engine
-      is benchmarked against; it does not support bitstate stores.
-
-    In the default [~replay:true] mode a final sequential replay over
-    the collected integer adjacency renumbers states into canonical
-    sequential BFS discovery order, so results are {e deterministic and
-    byte-identical} to the sequential engine:
+    A final sequential replay over the collected integer adjacency
+    renumbers states into canonical sequential BFS discovery order
+    (skipped as an identity when the run made no steal and no
+    relaxation), so results are {e deterministic and byte-identical} to
+    the sequential engine:
 
     - {!space} produces exactly the {!Explore.space} result — same state
       numbering, same transition order, same [states] array, same
@@ -33,26 +28,19 @@
       truncation behaviour;
     - {!count} agrees with {!Explore.count}.
 
-    [~replay:false] skips the canonicalisation for {!space} when the
-    exploration completed within the bound: the returned space uses the
-    (non-deterministic) provisional numbering but has the same state
-    set, transition multiset and [complete] flag.  Truncated runs fall
-    back to the replay regardless.
-
     Compressed stores ({!Store.Hash_compaction}, {!Store.Bitstate})
     make the results {e probabilistic}: distinct states that collide are
     conflated, which can only under-report states (and hence miss
     violations), never over-report.  Byte-identical parity holds for
     hash compaction up to fingerprint collisions (~2^-62 per pair at the
     default width).  Bitstate keeps no state identities: it is rejected
-    by {!space} and by the level-synchronised engine, {!find} witnesses
-    lose the shortest-trace guarantee, and a [false] completeness flag
-    is reported whenever the bound was engaged.
+    by {!space}, {!find} witnesses lose the shortest-trace guarantee,
+    and a [false] completeness flag is reported whenever the bound was
+    engaged.
 
     [domains] defaults to [Domain.recommended_domain_count ()]; [1] runs
-    the whole pipeline on the calling domain.  [shards] (default 64,
-    rounded up to a power of two) sets the number of lock stripes of the
-    state table. *)
+    the whole pipeline on the calling domain.  The state table has 64
+    lock stripes. *)
 
 type stats = {
   states : int;  (** canonical (retained) states *)
@@ -63,8 +51,7 @@ type stats = {
   depth_histogram : int array;  (** states discovered per BFS level *)
   shard_occupancy : int array;  (** interned states per table stripe *)
   domains_used : int;
-  engine : string;  (** ["workstealing"] or ["levels"] *)
-  steals : int;  (** successful steal operations (work-stealing only) *)
+  steals : int;  (** successful steal operations *)
   relaxations : int;
       (** depth-stamp improvements that re-enqueued a known state *)
   coverage : Store.coverage;  (** store mode and omission estimate *)
@@ -81,24 +68,19 @@ val space :
   ?max_states:int ->
   ?expected_states:int ->
   ?domains:int ->
-  ?shards:int ->
   ?progress:(depth:int -> states:int -> frontier:int -> unit) ->
   ?store:Store.mode ->
-  ?workstealing:bool ->
-  ?replay:bool ->
   ('s, 'l) System.t ->
   ('s, 'l) Explore.space
 (** [space sys] builds the reachable state graph in parallel.  With the
-    default exact store and [~replay:true] the result is byte-identical
-    to [Explore.space ?max_states sys] regardless of [domains] and
-    engine.  [progress] is invoked once per BFS level with the depth,
-    cumulative state count and level size (from the coordinating domain
-    in the level-synchronised engine; during the canonical replay in the
-    work-stealing engine).
+    default exact store the result is byte-identical to
+    [Explore.space ?max_states sys] regardless of [domains].  [progress]
+    is invoked once per BFS level, after exploration, with the depth,
+    cumulative state count and level size of the canonical space.
 
     [expected_states] (typically the lint pass's static state bound)
     pre-sizes the lock-striped state table: the hint is clamped to
-    {!Explore.sizing_cap} and split evenly across the shards.  Results
+    {!Explore.sizing_cap} and split evenly across the stripes.  Results
     are unaffected.
 
     @raise Invalid_argument on a {!Store.Bitstate} store, which cannot
@@ -108,11 +90,8 @@ val space_stats :
   ?max_states:int ->
   ?expected_states:int ->
   ?domains:int ->
-  ?shards:int ->
   ?progress:(depth:int -> states:int -> frontier:int -> unit) ->
   ?store:Store.mode ->
-  ?workstealing:bool ->
-  ?replay:bool ->
   ('s, 'l) System.t ->
   ('s, 'l) Explore.space * stats
 (** Like {!space}, additionally returning exploration statistics. *)
@@ -121,7 +100,6 @@ val space_run :
   ?max_states:int ->
   ?expected_states:int ->
   ?domains:int ->
-  ?shards:int ->
   ?progress:(depth:int -> states:int -> frontier:int -> unit) ->
   ?store:Store.mode ->
   ?budget:Budget.t ->
@@ -129,7 +107,7 @@ val space_run :
   ?resume:('s, 'l) Explore.cursor ->
   ('s, 'l) System.t ->
   ('s, 'l) Explore.run_result * stats
-(** The resilient form of {!space_stats} (work-stealing engine only).
+(** The resilient form of {!space_stats}.
     A {!Budget} trip — or an unrecoverable successor crash — suspends
     the run into an {!Explore.cursor} holding every interned state, the
     recorded adjacency and the unexpanded frontier; [resume] continues
@@ -153,32 +131,28 @@ val count :
   ?max_states:int ->
   ?expected_states:int ->
   ?domains:int ->
-  ?shards:int ->
   ?store:Store.mode ->
-  ?workstealing:bool ->
   ?budget:Budget.t ->
   ?degrade:bool ->
   ('s, 'l) System.t ->
   int * bool
 (** Parallel {!Explore.count}: reachable-state count plus completeness
     flag, without retaining the graph.  Compressed stores under-count on
-    collision; bitstate is supported (work-stealing engine only) and is
-    the intended high-volume counting mode.  A [budget] trip reports the
-    count so far with [complete = false]; [degrade] (default [true])
-    lets memory trips walk the store down the compression ladder instead
-    of stopping (work-stealing engine only). *)
+    collision; bitstate is supported and is the intended high-volume
+    counting mode.  A [budget] trip reports the count so far with
+    [complete = false]; [degrade] (default [true]) lets memory trips walk
+    the store down the compression ladder instead of stopping. *)
 
 val count_stats :
   ?max_states:int ->
   ?expected_states:int ->
   ?domains:int ->
-  ?shards:int ->
   ?store:Store.mode ->
   ?budget:Budget.t ->
   ?degrade:bool ->
   ('s, 'l) System.t ->
   (int * bool) * stats
-(** {!count} on the work-stealing engine, additionally returning
+(** {!count}, additionally returning
     exploration statistics (including the store's {!Store.coverage}
     estimate — the way to surface bitstate omission probabilities).
     [stats.transitions] counts successor edges of first-time expansions,
@@ -191,9 +165,7 @@ val find :
   ?max_states:int ->
   ?expected_states:int ->
   ?domains:int ->
-  ?shards:int ->
   ?store:Store.mode ->
-  ?workstealing:bool ->
   ?budget:Budget.t ->
   ?degrade:bool ->
   goal:('s -> bool) ->

@@ -6,6 +6,13 @@
 type t = int array
 
 let inf = max_int
+
+(* The largest constant magnitude a finite bound may carry: 2^60 - 1 on
+   64-bit hosts.  A bound (v, ≺) with |v| <= max_const encodes to an int
+   of magnitude at most 2 max_const + 1 = 2^61 - 1, so a [badd] of two
+   finite bounds stays within ±(2^62 - 2): it can neither wrap around
+   nor reach the [inf] sentinel.  Compilers reject larger constants. *)
+let max_const = max_int / 4
 let bnd v ~strict = (v * 2) + if strict then 0 else 1
 let value b = b asr 1
 let is_strict b = b land 1 = 0

@@ -21,6 +21,12 @@ type t = int array
 val inf : int
 (** The encoded bound "no constraint". *)
 
+val max_const : int
+(** The largest constant magnitude a bound may carry ([max_int / 4]):
+    below it, {!badd} of two finite bounds can neither overflow nor
+    produce {!inf}.  Models comparing clocks against larger constants
+    must be rejected before they reach a DBM. *)
+
 val bnd : int -> strict:bool -> int
 (** [bnd v ~strict] encodes the bound [(v, <)] or [(v, <=)]. *)
 

@@ -231,11 +231,24 @@ let analyze_model (m : M.t) : analysis =
     | E.Min (a, b) -> I.min_ (sup_itv a) (sup_itv b)
     | E.Max (a, b) -> I.max_ (sup_itv a) (sup_itv b)
   in
+  let too_big v = (not (I.is_inf v)) && abs v > Dbm.max_const in
+  let const_error where what v =
+    errors :=
+      ( where,
+        "TA-ZONE-CONST",
+        Printf.sprintf "%s %d is beyond the DBM constant limit %d" what v
+          Dbm.max_const )
+      :: !errors
+  in
   let record_atoms where (atoms : aatom list) =
     List.iter
       (fun a ->
         if has_div a.aa_expr then nonint := (where, a.aa_clock) :: !nonint;
-        let sup = (sup_itv a.aa_expr).I.hi in
+        let itv = sup_itv a.aa_expr in
+        (match List.find_opt too_big [ itv.I.hi; itv.I.lo ] with
+        | Some v -> const_error where ("clock " ^ a.aa_clock ^ " constant") v
+        | None -> ());
+        let sup = itv.I.hi in
         let sup =
           if sup = I.pos_inf then begin
             fallback := (where, a.aa_clock) :: !fallback;
@@ -289,6 +302,12 @@ let analyze_model (m : M.t) : analysis =
           end)
         a.M.edges)
     m.M.automata;
+  (* caps bound the read case splits and the Extra_LU fallbacks *)
+  List.iter
+    (fun (c : M.clock_decl) ->
+      if too_big c.M.cap then
+        const_error ("clock " ^ c.M.clock_name) "cap" c.M.cap)
+    m.M.clocks;
   {
     an_errors = List.rev !errors;
     an_bcast_bad = List.rev !bcast;

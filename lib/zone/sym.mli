@@ -59,7 +59,8 @@ type lu = Global | Location
 val compile : ?lu:lu -> Ta.Model.t -> t
 (** Compile a network for zone exploration.  [lu] defaults to
     [Global].
-    @raise Unsupported on constraints outside the zone fragment.
+    @raise Unsupported on constraints outside the zone fragment, and on
+    clock constants or caps beyond {!Dbm.max_const}.
     @raise Invalid_argument on the errors {!Ta.Semantics.compile}
     rejects (unknown names, initial invariant violation). *)
 
@@ -111,7 +112,8 @@ val pp_state : t -> Format.formatter -> state -> unit
 val diagnostics : Ta.Model.t -> Lint_report.diag list
 (** The TA-ZONE lint section: errors for constraints outside the zone
     fragment (diagonal constraints, clocks under disjunction,
-    non-integer clock comparisons, clock-guarded broadcast receivers)
+    non-integer clock comparisons, clock-guarded broadcast receivers,
+    clock constants beyond {!Dbm.max_const})
     and info lines reporting the static LU bounds and update
     clock-read case splits.  A model with no TA-ZONE errors compiles
     with {!compile}. *)

@@ -163,6 +163,8 @@ let test_xta_parse_errors () =
       ("clock x;\nprocess P() { state A; init A;\n  trans A -> A { assign x = 5; }; }\nsystem P;",
        "only be reset to 0");
       ("@", "unexpected character");
+      ("clock x;\n\nint n = 99999999999999999999;\nsystem P;",
+       "line 3: integer literal 99999999999999999999 out of range");
     ]
 
 let tests =

@@ -234,19 +234,17 @@ let test_heartbeat_find_parity () =
   | _ -> Alcotest.fail "expected P0 inactivation to be reachable"
 
 (* ------------------------------------------------------------------ *)
-(* Stores x engines: compression and the legacy level-sync engine.      *)
+(* Stores x domains: the compressed stores against the oracle.          *)
 (* ------------------------------------------------------------------ *)
 
 let pid_stores = [ Mc.Store.exact; Mc.Store.hash_compaction ]
 
-(* Property (d): both engines (work-stealing and the level-synchronised
-   baseline), both pid-tracking stores, every domain count: spaces are
+(* Property (d): both pid-tracking stores, every domain count: spaces are
    structurally equal to the sequential oracle (62-bit fingerprints have
    ~2^-62 collision odds per state pair, so hash compaction is exact on
    these spaces) and count/find verdicts agree. *)
-let prop_store_engine_parity =
-  QCheck.Test.make ~name:"stores x engines x domains parity vs Mc.Explore"
-    ~count:60
+let prop_store_parity =
+  QCheck.Test.make ~name:"stores x domains parity vs Mc.Explore" ~count:60
     QCheck.(pair rand_sys_arb small_nat)
     (fun (rs, g) ->
       let sys = table_system rs in
@@ -255,38 +253,29 @@ let prop_store_engine_parity =
       let seq_count = Mc.Explore.count sys in
       let seq_find = Mc.Explore.find ~goal sys in
       List.for_all
-        (fun workstealing ->
+        (fun store ->
           List.for_all
-            (fun store ->
-              List.for_all
-                (fun d ->
-                  same_space seq_space
-                    (Mc.Pexplore.space ~domains:d ~store ~workstealing sys)
-                  && seq_count
-                     = Mc.Pexplore.count ~domains:d ~store ~workstealing sys
-                  &&
-                  match
-                    ( seq_find,
-                      Mc.Pexplore.find ~domains:d ~store ~workstealing ~goal
-                        sys )
-                  with
-                  | Mc.Explore.Unreachable, Mc.Explore.Unreachable -> true
-                  | Mc.Explore.Reached w, Mc.Explore.Reached w' ->
-                      List.length w.Mc.Explore.trace
-                      = List.length w'.Mc.Explore.trace
-                      && trace_reaches rs ~goal w'.Mc.Explore.trace
-                  | Mc.Explore.Bound_hit n, Mc.Explore.Bound_hit n' -> n = n'
-                  | _ -> false)
-                domain_counts)
-            pid_stores)
-        [ true; false ])
+            (fun d ->
+              same_space seq_space (Mc.Pexplore.space ~domains:d ~store sys)
+              && seq_count = Mc.Pexplore.count ~domains:d ~store sys
+              &&
+              match (seq_find, Mc.Pexplore.find ~domains:d ~store ~goal sys) with
+              | Mc.Explore.Unreachable, Mc.Explore.Unreachable -> true
+              | Mc.Explore.Reached w, Mc.Explore.Reached w' ->
+                  List.length w.Mc.Explore.trace
+                  = List.length w'.Mc.Explore.trace
+                  && trace_reaches rs ~goal w'.Mc.Explore.trace
+              | Mc.Explore.Bound_hit n, Mc.Explore.Bound_hit n' -> n = n'
+              | _ -> false)
+            domain_counts)
+        pid_stores)
 
 (* The process-algebra protocol models under the same matrix: the spaces
    must be byte-identical to the sequential engine's (random PA specs are
    exercised by the POR suite; here the shipped variants pin the real
    state shapes — nested records, lists — through the marshalling
    fingerprint path). *)
-let test_pa_store_engine_byte_identical () =
+let test_pa_store_byte_identical () =
   let params = Heartbeat.Params.make ~tmin:1 ~tmax:3 () in
   List.iter
     (fun variant ->
@@ -302,53 +291,20 @@ let test_pa_store_engine_byte_identical () =
       in
       let seq = bytes_of (Mc.Explore.space sys) in
       List.iter
-        (fun workstealing ->
+        (fun store ->
           List.iter
-            (fun store ->
-              List.iter
-                (fun d ->
-                  check Alcotest.bool
-                    (Printf.sprintf "%s ws=%b %s d=%d byte-identical"
-                       (Heartbeat.Pa_models.variant_name variant)
-                       workstealing
-                       (Mc.Store.mode_name store)
-                       d)
-                    true
-                    (String.equal seq
-                       (bytes_of
-                          (Mc.Pexplore.space ~domains:d ~store ~workstealing
-                             sys))))
-                domain_counts)
-            pid_stores)
-        [ true; false ])
+            (fun d ->
+              check Alcotest.bool
+                (Printf.sprintf "%s %s d=%d byte-identical"
+                   (Heartbeat.Pa_models.variant_name variant)
+                   (Mc.Store.mode_name store)
+                   d)
+                true
+                (String.equal seq
+                   (bytes_of (Mc.Pexplore.space ~domains:d ~store sys))))
+            domain_counts)
+        pid_stores)
     [ Heartbeat.Pa_models.Binary; Heartbeat.Pa_models.Static ]
-
-let test_noreplay_same_structure () =
-  (* replay:false skips canonical renumbering on completed runs: the
-     numbering is free but the state set, the counts and the complete
-     flag must still match the sequential engine *)
-  let sys = heartbeat_system () in
-  let seq = Mc.Explore.space sys in
-  let seq_set = List.sort compare (Array.to_list seq.Mc.Explore.states) in
-  List.iter
-    (fun d ->
-      let par = Mc.Pexplore.space ~replay:false ~domains:d sys in
-      check Alcotest.bool
-        (Printf.sprintf "complete at %d domains" d)
-        true par.Mc.Explore.complete;
-      check Alcotest.int
-        (Printf.sprintf "state count at %d domains" d)
-        (Lts.Graph.num_states seq.Mc.Explore.lts)
-        (Lts.Graph.num_states par.Mc.Explore.lts);
-      check Alcotest.int
-        (Printf.sprintf "transition count at %d domains" d)
-        (Lts.Graph.num_transitions seq.Mc.Explore.lts)
-        (Lts.Graph.num_transitions par.Mc.Explore.lts);
-      check Alcotest.bool
-        (Printf.sprintf "same state set at %d domains" d)
-        true
-        (seq_set = List.sort compare (Array.to_list par.Mc.Explore.states)))
-    domain_counts
 
 let test_stats_consistency () =
   let sys = counter 500 in
@@ -390,11 +346,9 @@ let tests =
         test_heartbeat_truncated_parity;
       Alcotest.test_case "binary heartbeat find parity" `Quick
         test_heartbeat_find_parity;
-      QCheck_alcotest.to_alcotest prop_store_engine_parity;
-      Alcotest.test_case "PA models: stores x engines byte-identical" `Quick
-        test_pa_store_engine_byte_identical;
-      Alcotest.test_case "replay:false keeps the structure" `Quick
-        test_noreplay_same_structure;
+      QCheck_alcotest.to_alcotest prop_store_parity;
+      Alcotest.test_case "PA models: stores x domains byte-identical" `Quick
+        test_pa_store_byte_identical;
       Alcotest.test_case "exploration stats consistency" `Quick
         test_stats_consistency;
       Alcotest.test_case "progress callback" `Quick test_progress_callback;

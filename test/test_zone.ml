@@ -522,6 +522,55 @@ let test_fc_strictness_matters () =
       Alcotest.(check bool) "verdicts differ" true (good.Fc.safe <> bad.Fc.safe)
   | _ -> Alcotest.fail "registry incomplete"
 
+(* fischer-broken with its six clock constants scaled to [c].  At 2^61
+   the packed bounds (2v + 1) wrap around and the model reads SAFE from
+   a single zone, so past [Dbm.max_const] the compiler must refuse it
+   with a located error; at the limit the verdict is unchanged. *)
+let scaled_fischer_broken c =
+  match Fc.find "fischer-broken" with
+  | None -> Alcotest.fail "registry incomplete"
+  | Some spec ->
+      let txt = Ta.Xta.to_string spec.Fc.model in
+      let b = Buffer.create (String.length txt) and scaled = ref 0 in
+      let i = ref 0 in
+      while !i < String.length txt do
+        let tok =
+          if !i + 4 <= String.length txt then String.sub txt !i 4 else ""
+        in
+        if tok = "<= 2" || tok = ">= 2" then begin
+          Buffer.add_string b (Printf.sprintf "%s %d" (String.sub tok 0 2) c);
+          incr scaled;
+          i := !i + 4
+        end
+        else begin
+          Buffer.add_char b txt.[!i];
+          incr i
+        end
+      done;
+      check Alcotest.int "clock constants scaled" 6 !scaled;
+      (spec, Ta.Xta.parse (Buffer.contents b))
+
+let test_dbm_constant_limit () =
+  let _, big = scaled_fischer_broken (1 lsl 61) in
+  (match Zone.Sym.compile big with
+  | _ -> Alcotest.fail "2^61 clock constants must be rejected"
+  | exception Zone.Sym.Unsupported msg ->
+      check Alcotest.bool ("located: " ^ msg) true
+        (String.starts_with ~prefix:"P1.Try invariant: clock x1" msg));
+  check Alcotest.bool "lint flags the constant" true
+    (List.exists
+       (fun (d : Lint_report.diag) ->
+         d.Lint_report.code = "TA-ZONE-CONST"
+         && d.Lint_report.severity = Lint_report.Error)
+       (Zone.Sym.diagnostics big));
+  (* the inferred cap sits two past the largest literal *)
+  let spec, edge = scaled_fischer_broken (D.max_const - 2) in
+  let z = Zone.Sym.compile edge in
+  let goal = Zone.Sym.bad_of z (Fc.bad_predicate spec (Zone.Sym.net z)) in
+  match Zone.Reach.find z ~goal with
+  | Mc.Explore.Reached _ -> ()
+  | _ -> Alcotest.fail "fischer-broken at the constant limit must stay unsafe"
+
 let tests =
   ( "zone",
     [
@@ -563,4 +612,5 @@ let tests =
       Alcotest.test_case "fc xta round-trip" `Quick test_fc_xta_roundtrip;
       Alcotest.test_case "fc strictness matters" `Quick
         test_fc_strictness_matters;
+      Alcotest.test_case "dbm constant limit" `Quick test_dbm_constant_limit;
     ] )

@@ -44,15 +44,23 @@ ltl:
 
 # Partial-order-reduction gate: the qcheck parity harness (reduced and
 # full explorations agree on monitor and LTL verdicts, reduced
-# counterexamples replay, reduced LTS weak-trace equivalent), then the
+# counterexamples replay, reduced LTS weak-trace equivalent), the
+# lowering suite (full and reduced LTSs of all six variants pinned by
+# digest, random specs identical to the term interpreter), then the
 # six-variant smoke: every requirement verdict identical full vs
 # reduced, at least one variant at least halved, JSON byte-identical.
+# Last, the PA state-space gate: the full, sliced, reduced and
+# sliced+reduced state and transition counts of all six variants must
+# match test/golden/pa-stats.txt byte for byte.
 por:
 	$(DUNE) exec test/main.exe -- test por
+	$(DUNE) exec test/main.exe -- test lowering
 	$(DUNE) exec bin/hbverify.exe -- pa-smoke
 	$(DUNE) exec bin/hbverify.exe -- pa-smoke --json > _build/hbpor-1.json
 	$(DUNE) exec bin/hbverify.exe -- pa-smoke --json > _build/hbpor-2.json
 	cmp _build/hbpor-1.json _build/hbpor-2.json
+	$(DUNE) exec bin/hbexplore.exe -- pa-stats --reduce --slice > _build/hbpastats.txt
+	cmp _build/hbpastats.txt test/golden/pa-stats.txt
 
 # Parallel-engine gate: the qcheck parity harness for the parallel
 # engine (spaces byte-identical to Mc.Explore across stores x domain

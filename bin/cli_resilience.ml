@@ -109,23 +109,9 @@ let load_resume ~kind = function
           Format.eprintf "cannot resume from %s: %s@." file e;
           exit 2)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let coverage_json (c : Mc.Store.coverage) =
   Printf.sprintf "{\"mode\":\"%s\",\"est_coverage\":%.6f}"
-    (json_escape c.Mc.Store.mode)
+    (Lint.Report.json_escape c.Mc.Store.mode)
     c.Mc.Store.est_coverage
 
 let exhaustion_json (e : Mc.Explore.exhaustion) =

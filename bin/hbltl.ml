@@ -103,7 +103,7 @@ let json_steps to_string steps =
   "["
   ^ String.concat ","
       (List.map
-         (fun s -> "\"" ^ Cli_resilience.json_escape (to_string s) ^ "\"")
+         (fun s -> "\"" ^ Lint.Report.json_escape (to_string s) ^ "\"")
          steps)
   ^ "]"
 
@@ -166,10 +166,10 @@ let verdict_json ~model ~variant ~params ~fixed ~slice ~reduce ~engine ~req
     params.H.Params.n fixed slice reduce (H.Requirements.name req)
     (match engine with Ltl.Check.Ndfs -> "ndfs" | Ltl.Check.Scc -> "scc");
   bprintf buf "\"formula\":\"%s\",\"fairness\":[%s],\"stats\":%s,"
-    (Cli_resilience.json_escape formula)
+    (Lint.Report.json_escape formula)
     (String.concat ","
        (List.map
-          (fun n -> "\"" ^ Cli_resilience.json_escape n ^ "\"")
+          (fun n -> "\"" ^ Lint.Report.json_escape n ^ "\"")
           fairness_names))
     stats;
   (match verdict with

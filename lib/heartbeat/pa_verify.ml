@@ -100,22 +100,34 @@ let expected_of spec =
   | Lint.Interval.Finite n -> Some n
   | Lint.Interval.Unbounded -> None
 
+(* The explored spec (sliced or not), its POR analysis when reducing,
+   the full system and the sliced one.  A reducing query takes the
+   explored spec's system from the analysis' lowering, so no spec is
+   lowered twice. *)
+let systems ~slice ~reduce spec =
+  let sspec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
+  let analysis = if reduce then Some (Por.analyze_cached sspec) else None in
+  let explored =
+    match analysis with
+    | Some a -> Proc.Semantics.system_of (Por.compiled a)
+    | None -> Proc.Semantics.system sspec
+  in
+  if slice then (sspec, analysis, Proc.Semantics.system spec, Some explored)
+  else (sspec, analysis, explored, None)
+
 let check_verdict ?(max_states = default_max) ?(domains = 1) ?(slice = false)
     ?(reduce = false) ?store ?budget ?degrade variant params req =
   let spec = Pa_models.build variant params in
-  let sys = Proc.Semantics.system spec in
   (* the slice never touches action labels, so the monitors and their
      POR alphabets carry over unchanged; the pre-sizing hint and the
      reduction are computed over the sliced spec (what is actually
      explored) *)
-  let sspec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
-  let slice_sys = if slice then Some (Proc.Semantics.system sspec) else None in
+  let sspec, analysis, sys, slice_sys = systems ~slice ~reduce spec in
   let expected_states = expected_of sspec in
   (* reduction composes with domains > 1 through the parallel-safe
      proviso: each reduced system is built with [~par:true] and Safety
      is told not to force the sequential engine *)
   let par = domains > 1 in
-  let analysis = if reduce then Some (Por.analyze_cached sspec) else None in
   (* first non-Holds verdict wins; all monitors must hold for Holds *)
   let rec go = function
     | [] -> Mc.Safety.Holds
@@ -192,14 +204,11 @@ let check_live ?(engine = Ltl.Check.Ndfs) ?(max_states = default_max)
     ?(slice = false) ?(reduce = false) ?(domains = 1) ?store ?budget variant
     params req =
   let spec = Pa_models.build variant params in
-  let sys = Proc.Semantics.system spec in
-  let sspec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
-  let slice_sys = if slice then Some (Proc.Semantics.system sspec) else None in
+  let _, analysis, sys, slice_sys = systems ~slice ~reduce spec in
   let reduction =
-    if reduce then
-      let a = Por.analyze_cached sspec in
-      Some (fun ~alphabet -> Por.reduction ~par:(domains > 1) a ~alphabet)
-    else None
+    Option.map
+      (fun a ~alphabet -> Por.reduction ~par:(domains > 1) a ~alphabet)
+      analysis
   in
   Ltl.Check.check ~engine ~fairness:Requirements.live_fairness_pa
     ?slice:slice_sys ?reduction ~max_states ~domains ?store ?budget sys
@@ -209,14 +218,11 @@ let check_live_run ?(engine = Ltl.Check.Ndfs) ?(max_states = default_max)
     ?(slice = false) ?(reduce = false) ?(domains = 1) ?store ?budget
     ?checkpoint ?resume variant params req =
   let spec = Pa_models.build variant params in
-  let sys = Proc.Semantics.system spec in
-  let sspec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
-  let slice_sys = if slice then Some (Proc.Semantics.system sspec) else None in
+  let _, analysis, sys, slice_sys = systems ~slice ~reduce spec in
   let reduction =
-    if reduce then
-      let a = Por.analyze_cached sspec in
-      Some (fun ~alphabet -> Por.reduction ~par:(domains > 1) a ~alphabet)
-    else None
+    Option.map
+      (fun a ~alphabet -> Por.reduction ~par:(domains > 1) a ~alphabet)
+      analysis
   in
   Ltl.Check.check_run ~engine ~fairness:Requirements.live_fairness_pa
     ?slice:slice_sys ?reduction ~max_states ~domains ?store ?budget

@@ -14,6 +14,9 @@
     mid-checkpoint never destroys the previous good one. *)
 
 val version : int
+(** Bumped whenever a payload type's memory layout changes (2: PA
+    states became control points over value arrays), so an older file
+    is refused before it is unmarshalled as the wrong type. *)
 
 val save : file:string -> kind:string -> 'a -> unit
 (** Atomically (re)write [file].  Raises [Sys_error] on IO failure. *)

@@ -40,7 +40,12 @@ module I = Lint_interval
 module R = Lint_report
 
 type analysis = {
-  compiled : Sem.compiled;
+  spec : Proc.Spec.t;
+  lowered : (Sem.compiled * bool array array) Lazy.t;
+      (* the spec's control-point table and, per control point indexed
+         by action id, whether a component there can ever offer the
+         action again; built when a reduced system first needs them *)
+  lock : Mutex.t;  (* serialises forcing [lowered] *)
   defs : (string, T.def) Hashtbl.t;
   names : string array;
   alphabets : SSet.t array;
@@ -94,16 +99,25 @@ type zedge = { zsrc : string; zdst : string; zacts : string list }
 
 let zeno_rounds = 30
 
-let compute_zeno_suspects compiled (spec : Proc.Spec.t) defs
+(* The spec's allow/hide names and communication pairs by name, for the
+   static passes, which work on the terms rather than the lowered
+   table. *)
+let name_tables (spec : Proc.Spec.t) =
+  let observable = Hashtbl.create 32 and comm = Hashtbl.create 32 in
+  List.iter (fun a -> Hashtbl.replace observable a ()) spec.Proc.Spec.allow;
+  List.iter (fun a -> Hashtbl.replace observable a ()) spec.Proc.Spec.hide;
+  List.iter
+    (fun (s, r, res) ->
+      Hashtbl.add comm s (r, res);
+      Hashtbl.add comm r (s, res))
+    spec.Proc.Spec.comms;
+  (Hashtbl.mem observable, Hashtbl.find_all comm)
+
+(* [reach.(i)]: the definitions component [i] can reach from its root. *)
+let compute_zeno_suspects (spec : Proc.Spec.t) defs (reach : SSet.t array)
     (alphabets : SSet.t array) =
-  let comps = Array.of_list spec.Proc.Spec.init in
-  let n = Array.length comps in
-  let reach =
-    Array.map
-      (fun ((root, _) : string * Proc.Value.t list) ->
-        Lint_pa.reachable_from defs [ root ])
-      comps
-  in
+  let observable, partners_of = name_tables spec in
+  let n = Array.length reach in
   (* Entry environments per (component, definition); absence means "no
      feasible tick-free entry".  The empty map is ⊤: [Lint_pa.lookup]
      defaults unbound parameters to the full interval. *)
@@ -118,12 +132,12 @@ let compute_zeno_suspects compiled (spec : Proc.Spec.t) defs
   let feasible i nm =
     if nm = Proc.Spec.tick_name then false
     else
-      match Sem.comm_partners compiled nm with
-      | [] -> Sem.is_visible compiled nm || Sem.is_hidden compiled nm
+      match partners_of nm with
+      | [] -> observable nm
       | partners ->
           List.exists
             (fun ((partner, result) : string * string) ->
-              (Sem.is_visible compiled result || Sem.is_hidden compiled result)
+              observable result
               &&
               let ok = ref false in
               for j = 0 to n - 1 do
@@ -195,7 +209,9 @@ let compute_zeno_suspects compiled (spec : Proc.Spec.t) defs
         else acc)
       SSet.empty es
   in
-  for _round = 1 to zeno_rounds do
+  (* A round is a function of [envs] and [offers] alone, so once a round
+     changes neither, every later one would recompute the same edges. *)
+  let rec rounds k =
     let new_envs = Array.make (max n 1) (SMap.empty : Lint_pa.env SMap.t) in
     for i = 0 to n - 1 do
       let es = ref [] in
@@ -224,11 +240,20 @@ let compute_zeno_suspects compiled (spec : Proc.Spec.t) defs
         envs.(i);
       edges.(i) <- !es
     done;
+    let stable = ref true in
     for i = 0 to n - 1 do
+      let o = cyclic_offers edges.(i) in
+      if
+        not
+          (SMap.equal (SMap.equal ( = )) envs.(i) new_envs.(i)
+          && SSet.equal offers.(i) o)
+      then stable := false;
       envs.(i) <- new_envs.(i);
-      offers.(i) <- cyclic_offers edges.(i)
-    done
-  done;
+      offers.(i) <- o
+    done;
+    if k < zeno_rounds && not !stable then rounds (k + 1)
+  in
+  rounds 1;
   let suspects = ref [] in
   for i = n - 1 downto 0 do
     if has_cycle (List.map (fun e -> (e.zsrc, e.zdst, e.zacts)) edges.(i)) then
@@ -236,16 +261,38 @@ let compute_zeno_suspects compiled (spec : Proc.Spec.t) defs
   done;
   !suspects
 
+(* Future offers of each control point: every action a component there
+   could ever offer again, over-approximated syntactically — the
+   prefixes of its own summands closed over the control points they
+   continue at and the definitions they call.  Action names are static,
+   so this is exact up to data and guards; and every derivative's set
+   is a subset of its source's, which is what makes it usable for
+   freezing: a component whose future offers exclude [partner] can move
+   freely without ever enabling that handshake. *)
+let future_table c =
+  let ncp = Sem.num_control_points c in
+  let offers = Array.init ncp (Sem.control_offers c) in
+  let succs = Array.init ncp (Sem.control_successors c) in
+  let seen = Array.make ncp (-1) in
+  Array.init ncp (fun root ->
+      let set = Array.make (Sem.num_actions c) false in
+      let rec go cp =
+        if seen.(cp) <> root then begin
+          seen.(cp) <- root;
+          List.iter (fun a -> set.(a) <- true) offers.(cp);
+          List.iter go succs.(cp)
+        end
+      in
+      go root;
+      set)
+
 let analyze spec =
-  let compiled = Sem.compile spec in
+  Proc.Spec.validate spec;
   let defs = Lint_pa.def_table spec in
   let comps = Array.of_list spec.Proc.Spec.init in
   let names = Array.map (fun ((name, _) : string * Proc.Value.t list) -> name) comps in
-  let alphabets =
-    Array.map
-      (fun (root, _) -> Lint_pa.offered_by defs (Lint_pa.reachable_from defs [ root ]))
-      comps
-  in
+  let reach = Array.map (fun (root, _) -> Lint_pa.reachable_from defs [ root ]) comps in
+  let alphabets = Array.map (Lint_pa.offered_by defs) reach in
   let offerer_tbl = Hashtbl.create 64 in
   Array.iteri
     (fun i alpha ->
@@ -256,8 +303,22 @@ let analyze spec =
         alpha)
     alphabets;
   Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) offerer_tbl;
-  let zeno_suspects = compute_zeno_suspects compiled spec defs alphabets in
-  { compiled; defs; names; alphabets; offerer_tbl; zeno_suspects }
+  let zeno_suspects = compute_zeno_suspects spec defs reach alphabets in
+  let lowered =
+    lazy
+      (let c = Sem.compile spec in
+       (c, future_table c))
+  in
+  {
+    spec;
+    lowered;
+    lock = Mutex.create ();
+    defs;
+    names;
+    alphabets;
+    offerer_tbl;
+    zeno_suspects;
+  }
 
 (* The analysis is a pure function of the spec term, so verification
    sweeps that revisit the same spec (table cells, smoke matrices) can
@@ -269,7 +330,8 @@ let cache_stats () = Lint_memo.stats memo
 let zeno_free a = a.zeno_suspects = []
 let zeno_suspects a = a.zeno_suspects
 
-let compiled a = a.compiled
+let lowered a = Mutex.protect a.lock (fun () -> Lazy.force a.lowered)
+let compiled a = fst (lowered a)
 let component_names a = a.names
 let component_alphabet a i = SSet.elements a.alphabets.(i)
 let offerers a name = Option.value (Hashtbl.find_opt a.offerer_tbl name) ~default:[]
@@ -290,18 +352,11 @@ module H = Hashtbl.Make (struct
   let hash = Sem.hash_state
 end)
 
-module TH = Hashtbl.Make (struct
-  type t = T.t
-
-  let equal = ( = )
-  let hash t = Hashtbl.hash_param 128 256 t
-end)
-
 let nstripes = 64
 
 let reduced_successors ?(par = false) (a : analysis) ~alphabet :
     (Sem.state -> (Sem.label * Sem.state) list) * stats =
-  let c = a.compiled in
+  let c, futures = lowered a in
   let prop = SSet.of_list alphabet in
   let visible_prop l = SSet.mem (Sem.label_name l) prop in
   let stats =
@@ -364,38 +419,6 @@ let reduced_successors ?(par = false) (a : analysis) ~alphabet :
   in
   let next_disc_p = Atomic.make 0 in
   let stripe s = Sem.hash_state s land max_int land (nstripes - 1) in
-  (* Future offers of a configuration: every action name it could ever
-     offer again, over-approximated syntactically — the prefix names of
-     its own term plus those of every definition reachable from its
-     calls.  Action names are static strings, so this set is exact up
-     to data; and every derivative's set is a subset of its source's,
-     which is what makes it usable for freezing: a component whose
-     future offers exclude [partner] can move freely without ever
-     enabling that handshake.  Memoized per term (environments don't
-     affect names). *)
-  let future_cache : SSet.t TH.t = TH.create 256 in
-  let fmu = Mutex.create () in
-  let future_offers comp =
-    let t = Sem.component_term comp in
-    let cached =
-      if par then locked fmu (fun () -> TH.find_opt future_cache t)
-      else TH.find_opt future_cache t
-    in
-    match cached with
-    | Some set -> set
-    | None ->
-        let roots = SSet.elements (Lint_pa.callees SSet.empty t) in
-        let set =
-          SSet.union
-            (Lint_pa.offered SSet.empty t)
-            (Lint_pa.offered_by a.defs (Lint_pa.reachable_from a.defs roots))
-        in
-        let install () =
-          if not (TH.mem future_cache t) then TH.add future_cache t set
-        in
-        if par then locked fmu install else install ();
-        set
-  in
   let note s =
     if par then
       let k = stripe s in
@@ -423,99 +446,72 @@ let reduced_successors ?(par = false) (a : analysis) ~alphabet :
   let expand (s : Sem.state) ~disc ~mydom : (Sem.label * Sem.state) list =
     let n = Array.length s in
     let locals = Array.map (Sem.component_steps c) s in
-    let future = Array.map future_offers s in
-    let offers_tick steps =
-      List.exists (fun ((nm, _, _) : string * Proc.Value.t list * _) -> nm = Proc.Spec.tick_name) steps
+    let future = Array.map (fun comp -> futures.(Sem.control_point comp)) s in
+    (* Sets of components as bit vectors of [words] ints. *)
+    let words = (n + 61) / 62 in
+    let word i = i / 62 and bit i = 1 lsl (i mod 62) in
+    let mem set i = set.(word i) land bit i <> 0 in
+    let add set i = set.(word i) <- set.(word i) lor bit i in
+    (* [pulls.(m)]: the components some current communication half of
+       [m] could still meet — those whose future offers contain one of
+       its partners. *)
+    let pulls =
+      Array.map
+        (fun steps ->
+          let set = Array.make words 0 in
+          let partners =
+            List.concat_map
+              (fun (st : Sem.step) ->
+                Array.to_list (Array.map fst (Sem.comm_partner_ids c st.Sem.act)))
+              steps
+          in
+          if partners <> [] then
+            for j = 0 to n - 1 do
+              if List.exists (fun p -> future.(j).(p)) partners then add set j
+            done;
+          set)
+        locals
     in
+    let refusers = Array.make words 0 in
+    Array.iteri
+      (fun i steps ->
+        if not (List.exists (fun (st : Sem.step) -> st.Sem.act = Sem.tick) steps) then
+          add refusers i)
+      locals;
     (* Least communication-closed group containing [seed]. *)
     let group seed =
-      let in_g = Array.make n false in
-      in_g.(seed) <- true;
-      let stack = ref [ seed ] in
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | m :: rest ->
-            stack := rest;
-            List.iter
-              (fun ((nm, _, _) : string * Proc.Value.t list * _) ->
-                List.iter
-                  (fun ((partner, _result) : string * string) ->
-                    for j = 0 to n - 1 do
-                      if (not in_g.(j)) && SSet.mem partner future.(j) then begin
-                        in_g.(j) <- true;
-                        stack := j :: !stack
-                      end
-                    done)
-                  (Sem.comm_partners c nm))
-              locals.(m)
-      done;
-      in_g
-    in
-    (* Enabled transitions internal to the group, mirroring the order of
-       [Sem.successors_from] (locals in component order, then
-       communications for i < j); [None] if some label is visible. *)
-    let internal in_g =
-      let acc = ref [] in
-      let ok = ref true in
-      let emit label s' =
-        if visible_prop label then ok := false else acc := (label, s') :: !acc
-      in
-      let set1 i comp' =
-        let s' = Array.copy s in
-        s'.(i) <- comp';
-        s'
-      in
-      let set2 i ci j cj =
-        let s' = Array.copy s in
-        s'.(i) <- ci;
-        s'.(j) <- cj;
-        s'
-      in
-      Array.iteri
-        (fun i steps ->
-          if in_g.(i) && !ok then
-            List.iter
-              (fun (name, args, comp') ->
-                if name <> Proc.Spec.tick_name && not (Sem.is_comm c name) then begin
-                  if Sem.is_hidden c name then emit Sem.tau (set1 i comp')
-                  else if Sem.is_visible c name then emit (Sem.Act (name, args)) (set1 i comp')
-                end)
-              steps)
-        locals;
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
-          if in_g.(i) && in_g.(j) && !ok then
-            List.iter
-              (fun (name_i, args_i, ci) ->
-                List.iter
-                  (fun ((partner, result) : string * string) ->
-                    List.iter
-                      (fun (name_j, args_j, cj) ->
-                        if name_j = partner && args_i = args_j then begin
-                          if Sem.is_hidden c result then emit Sem.tau (set2 i ci j cj)
-                          else if Sem.is_visible c result then
-                            emit (Sem.Act (result, args_i)) (set2 i ci j cj)
-                        end)
-                      locals.(j))
-                  (Sem.comm_partners c name_i))
-              locals.(i)
+      let g = Array.make words 0 in
+      let rec close m =
+        let pm = pulls.(m) in
+        for k = 0 to words - 1 do
+          let fresh = pm.(k) land lnot g.(k) in
+          g.(k) <- g.(k) lor fresh;
+          each (k * 62) fresh
         done
-      done;
-      if !ok then Some (List.rev !acc) else None
+      and each j fresh =
+        if fresh <> 0 then begin
+          if fresh land 1 <> 0 then close j;
+          each (j + 1) (fresh lsr 1)
+        end
+      in
+      add g seed;
+      close seed;
+      g
+    in
+    (* Enabled transitions internal to the group, in the order of
+       [Sem.successors_from]; [None] if some label is visible. *)
+    let internal in_g =
+      let amples = Sem.successors_from ~within:in_g c locals s in
+      if List.exists (fun (l, _) -> visible_prop l) amples then None else Some amples
     in
     let depth = ref 0 in
     let cross_seen = ref false in
-    let try_seed seed =
-      let in_g = group seed in
-      let tick_refused =
-        let r = ref false in
-        Array.iteri (fun i g -> if g && not (offers_tick locals.(i)) then r := true) in_g;
-        !r
-      in
-      if not tick_refused then None
+    (* The group's internal transitions, if they form a valid ample
+       set; the group must hold a tick refuser. *)
+    let try_group g =
+      if not (Array.exists2 (fun g r -> g land r <> 0) g refusers) then None
       else
-        match internal in_g with
+        match internal (Array.init n (mem g)) with
         | None | Some [] -> (if !depth < 1 then depth := 1); None
         | Some amples ->
             (* Cycle proviso: an ample transition back to an
@@ -546,16 +542,22 @@ let reduced_successors ?(par = false) (a : analysis) ~alphabet :
        deterministic).  Hub components close to near-total groups whose
        "ample" set defers almost nothing; a peripheral seed — an
        in-flight channel, say — often freezes just itself and its
-       current partners. *)
+       current partners.  Seeds closing to a group already tried are
+       skipped: the group decides the outcome, and a tie never wins. *)
     let best = ref None in
+    let tried = ref [] in
     for seed = 0 to n - 1 do
-      match try_seed seed with
-      | None -> ()
-      | Some amples -> (
-          let k = List.length amples in
-          match !best with
-          | Some (k0, _) when k0 <= k -> ()
-          | _ -> best := Some (k, amples))
+      let g = group seed in
+      if not (List.exists (Array.for_all2 Int.equal g) !tried) then begin
+        tried := g :: !tried;
+        match try_group g with
+        | None -> ()
+        | Some amples -> (
+            let k = List.length amples in
+            match !best with
+            | Some (k0, _) when k0 <= k -> ()
+            | _ -> best := Some (k, amples))
+      end
     done;
     match !best with
     | Some (_, amples) ->
@@ -618,11 +620,11 @@ let reduced_system_stats ?(alphabet = []) ?par (a : analysis) :
       type state = Sem.state
       type label = Sem.label
 
-      let initial = Sem.initial_of a.compiled
+      let initial = Sem.initial_of (compiled a)
       let successors = successors
       let equal_state = Sem.equal_state
       let hash_state = Sem.hash_state
-      let pp_state = Sem.pp_state
+      let pp_state = Sem.pp_state (compiled a)
       let pp_label = Sem.pp_label
     end)
   in
@@ -634,8 +636,8 @@ let reduction ?par a ~alphabet = Some (reduced_system ~alphabet ?par a)
 (* --- hblint report section -------------------------------------------- *)
 
 let diagnostics (a : analysis) : R.diag list =
-  let spec = Sem.spec_of a.compiled in
-  let c = a.compiled in
+  let spec = a.spec in
+  let _, partners_of = name_tables spec in
   let diags = ref [] in
   let info ~where fmt =
     Format.kasprintf
@@ -649,7 +651,7 @@ let diagnostics (a : analysis) : R.diag list =
   in
   let all = Array.fold_left SSet.union SSet.empty a.alphabets in
   let local_acts =
-    SSet.filter (fun nm -> nm <> Proc.Spec.tick_name && not (Sem.is_comm c nm)) all
+    SSet.filter (fun nm -> nm <> Proc.Spec.tick_name && partners_of nm = []) all
   in
   let singleton_locals =
     SSet.filter (fun nm -> match offerers a nm with [ _ ] -> true | _ -> false) local_acts

@@ -36,10 +36,12 @@ type analysis
 (** Result of the static pass over one specification. *)
 
 val analyze : Proc.Spec.t -> analysis
-(** Compile the spec and compute per-component statically-reachable
-    action alphabets (via the call graph, as in [Lint.Pa]) and the
-    offerer table: for each action name, which components can ever
-    offer it.
+(** Validate the spec and compute per-component statically-reachable
+    action alphabets (via the call graph, as in [Lint.Pa]), the
+    offerer table (for each action name, which components can ever
+    offer it) and the zeno-freedom proof.  The spec is lowered
+    ({!Proc.Semantics.compile}) only when {!compiled} or a reduced
+    system first needs it, once per analysis.
     @raise Invalid_argument if {!Proc.Spec.validate} rejects the spec. *)
 
 val analyze_cached : Proc.Spec.t -> analysis
@@ -52,6 +54,10 @@ val cache_stats : unit -> int * int
 (** [(lookups, hits)] of the {!analyze_cached} memo since start-up. *)
 
 val compiled : analysis -> Proc.Semantics.compiled
+(** The lowered spec, built on first call and shared by every reduced
+    system of this analysis; explore the full system from it to lower
+    a spec only once per query. *)
+
 val component_names : analysis -> string array
 
 val component_alphabet : analysis -> int -> string list

@@ -7,8 +7,8 @@
     pipeline plays in the paper. *)
 
 type component
-(** A sequential component configuration: a process term plus an
-    environment for its data parameters. *)
+(** A sequential component configuration: a control point of the
+    lowered spec plus the values of its environment slots. *)
 
 type state = component array
 
@@ -34,56 +34,79 @@ val system : Spec.t -> (state, label) Mc.System.t
 
 (** {2 Compiled specifications}
 
-    The step relation of {!system}, split into a compile step and
-    introspection accessors.  This is what alternative successor
-    functions (the ample-set reducer in [lib/por]) build on: they can
-    read each component's current action offers, look up communication
-    partners and visibility, and fall back to the exact full successor
-    construction — guaranteeing the reduced system explores a
-    sub-structure of the full one. *)
+    [compile] lowers a spec once to a table of control points: every
+    (normalised term, environment layout) pair a component can be in,
+    each owning its summand tree with variables as slot indices,
+    action names as ints and calls resolved to definitions.  The step
+    relation of {!system} runs on that table.  Alternative successor
+    functions (the ample-set reducer in [lib/por]) build on the same
+    table: they read each component's current action offers by id and
+    its communication partners, and take their transitions from the
+    exact successor construction ({!successors_from}, possibly
+    restricted to some components) — guaranteeing the reduced system
+    explores a sub-structure of the full one. *)
 
 type compiled
-(** A validated specification with its lookup tables (definitions,
-    allow/hide sets, communication pairs) and initial state. *)
+(** A validated specification lowered to its control-point table,
+    with its action tables (allow/hide sets, communication pairs) and
+    initial state. *)
 
 val compile : Spec.t -> compiled
 (** @raise Invalid_argument if {!Spec.validate} rejects the spec. *)
 
-val spec_of : compiled -> Spec.t
 val initial_of : compiled -> state
 
-val component_steps : compiled -> component -> (string * Value.t list * component) list
-(** Local steps of one sequential component: every (action name,
+(** {3 Actions}
+
+    Every action name of the spec (prefixes, communication halves and
+    results, allow and hide lists) has an id in
+    [0 .. num_actions c - 1]; {!tick} is [tick]'s.  Labels carry the
+    names. *)
+
+val tick : int
+val num_actions : compiled -> int
+
+val comm_partner_ids : compiled -> int -> (int * int) array
+(** [(partner, result)] ids for a communication half, most recently
+    declared pair first; [[||]] for other actions. *)
+
+(** {3 Control points} *)
+
+val num_control_points : compiled -> int
+
+val control_point : component -> int
+(** The control point a configuration is at. *)
+
+val control_offers : compiled -> int -> int list
+(** Action ids of the prefixes in a control point's own summand tree
+    (whatever their guards), in syntactic order. *)
+
+val control_successors : compiled -> int -> int list
+(** The control points a control point's summands continue at, and
+    those of the definitions its unguarded calls enter.  Closing
+    {!control_offers} over this relation gives every action a
+    configuration could ever offer again. *)
+
+(** {3 Steps} *)
+
+type step = { act : int; args : Value.t list; next : component }
+
+val component_steps : compiled -> component -> step list
+(** Local steps of one sequential component: every (action,
     evaluated arguments, next configuration) it currently offers,
     in deterministic (syntactic) order.  Includes tick offers, blocked
     actions and unpaired communication halves — pairing, visibility and
     the global-tick rule are applied by {!successors_from}. *)
 
-val component_term : component -> Term.t
-(** The process term of a configuration (normalized: never a top-level
-    [Call]).  Lets static analyses compute, per configuration, which
-    actions it could ever offer again. *)
-
-val is_visible : compiled -> string -> bool
-(** The name is in the spec's [allow] list. *)
-
-val is_hidden : compiled -> string -> bool
-(** The name is in the spec's [hide] list. *)
-
-val is_comm : compiled -> string -> bool
-(** The name is a send or receive half of some communication pair. *)
-
-val comm_partners : compiled -> string -> (string * string) list
-(** [(partner, result)] pairs for a communication half, both directions;
-    [[]] for non-communication names. *)
-
 val successors_from :
-  compiled -> (string * Value.t list * component) list array -> state -> (label * state) list
+  ?within:bool array -> compiled -> step list array -> state -> (label * state) list
 (** Full successor list of a state given the pre-computed local step
     menus of its components ([locals.(i)] must be
     [component_steps c s.(i)]).  This is the step relation of {!system}:
     independent actions in component order, then communications for
-    [i < j], then the global tick. *)
+    [i < j], then the global tick.  With [within], only the steps of
+    the marked components and the communications among them, and no
+    tick. *)
 
 val successors_of : compiled -> state -> (label * state) list
 
@@ -91,7 +114,9 @@ val system_of : compiled -> (state, label) Mc.System.t
 (** The system of {!compile}d spec; [system spec] is
     [system_of (compile spec)]. *)
 
-val pp_state : Format.formatter -> state -> unit
+val pp_state : compiled -> Format.formatter -> state -> unit
+(** One line per component: the term of its control point. *)
+
 val equal_state : state -> state -> bool
 val hash_state : state -> int
 

@@ -9,6 +9,7 @@ let () =
       Test_pexplore.tests;
       Test_store.tests;
       Test_proc.tests;
+      Test_lowering.tests;
       Test_ta.tests;
       Test_sim.tests;
       Test_heartbeat.tests;

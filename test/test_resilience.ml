@@ -212,6 +212,29 @@ let test_checkpoint_container () =
       | Ok (_ : (int, string) Mc.Explore.cursor) ->
           Alcotest.fail "truncated file was accepted")
 
+(* A container of an older layout version is refused before its payload
+   is unmarshalled: the payload here is not a marshalled value at all
+   (but carries a valid digest), so unmarshalling it would raise. *)
+let test_checkpoint_old_version () =
+  let file = Filename.temp_file "hbckpt" ".ck" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+  @@ fun () ->
+  let kind = "test/resilience/v1" and payload = "not a marshalled value" in
+  let oc = open_out_bin file in
+  output_string oc "HBCKPT01";
+  output_binary_int oc 1;
+  output_binary_int oc (String.length kind);
+  output_string oc kind;
+  output_string oc (Digest.string payload);
+  output_binary_int oc (String.length payload);
+  output_string oc payload;
+  close_out oc;
+  check Alcotest.int "current version" 2 Mc.Checkpoint.version;
+  match Mc.Checkpoint.load ~file ~kind with
+  | Error e ->
+      check Alcotest.string "refused" "checkpoint version 1 not supported (expected 2)" e
+  | Ok (_ : string) -> Alcotest.fail "version-1 container was accepted"
+
 (* ------------------------------------------------------------------ *)
 (* Parallel suspend/resume: verdict- and set-identical, all stores.     *)
 (* ------------------------------------------------------------------ *)
@@ -403,6 +426,8 @@ let tests =
         test_periodic_checkpoint;
       Alcotest.test_case "resume max_states mismatch rejected" `Quick
         test_resume_max_states_mismatch;
+      Alcotest.test_case "old checkpoint version refused" `Quick
+        test_checkpoint_old_version;
       Alcotest.test_case "checkpoint container guards" `Quick
         test_checkpoint_container;
       QCheck_alcotest.to_alcotest prop_par_resume_verdict_identical;

@@ -49,9 +49,9 @@ ltl:
 # digest, random specs identical to the term interpreter), then the
 # six-variant smoke: every requirement verdict identical full vs
 # reduced, at least one variant at least halved, JSON byte-identical.
-# Last, the PA state-space gate: the full, sliced, reduced and
-# sliced+reduced state and transition counts of all six variants must
-# match test/golden/pa-stats.txt byte for byte.
+# Last, the PA state-space gate: the full and reduced state and
+# transition counts of all six variants must match
+# test/golden/pa-stats.txt byte for byte.
 por:
 	$(DUNE) exec test/main.exe -- test por
 	$(DUNE) exec test/main.exe -- test lowering
@@ -59,7 +59,7 @@ por:
 	$(DUNE) exec bin/hbverify.exe -- pa-smoke --json > _build/hbpor-1.json
 	$(DUNE) exec bin/hbverify.exe -- pa-smoke --json > _build/hbpor-2.json
 	cmp _build/hbpor-1.json _build/hbpor-2.json
-	$(DUNE) exec bin/hbexplore.exe -- pa-stats --reduce --slice > _build/hbpastats.txt
+	$(DUNE) exec bin/hbexplore.exe -- pa-stats --reduce > _build/hbpastats.txt
 	cmp _build/hbpastats.txt test/golden/pa-stats.txt
 
 # Parallel-engine gate: the qcheck parity harness for the parallel
@@ -104,12 +104,11 @@ resilience:
 	  --resume _build/hbres.ck > _build/hbres-resumed.out 2>/dev/null
 	cmp _build/hbres-clean.out _build/hbres-resumed.out
 
-# Slicing gate: the qcheck parity harness (sliced and full explorations
-# agree on every safety and LTL verdict, sliced counterexamples replay
-# in the full model via the certificate, slice composes with the
-# reduction and the parallel engine), then the six-variant slice smoke:
-# verdict parity for slice alone / slice+POR / slice+POR at 4 domains,
-# at least one TA variant's space at least halved, at least one sliced
+# Slicing gate: the qcheck parity harness (sliced and full timed-automata
+# explorations agree on every safety and LTL verdict, sliced
+# counterexamples replay in the full model via the certificate), then
+# the six-variant TA slice smoke: verdict parity per requirement, at
+# least one variant's space at least halved, at least one sliced
 # counterexample replayed, JSON byte-identical across two runs.
 slice:
 	$(DUNE) exec test/main.exe -- test slice

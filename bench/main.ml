@@ -444,12 +444,10 @@ let pr7_report () =
 (* Part 1f: static slicing — BENCH_pr8.json                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Cost/benefit of the static slice, alone and composed with the
-   ample-set reduction: the TA family at tmin=2, tmax=8 (where the
-   property-free slice wins through clock activity and dead writes),
-   the PA family at the POR measurement points (slice alone, POR alone,
-   slice-then-POR), plus the analysis-cache counters so the memoisation
-   payoff is on record next to the numbers it pays for. *)
+(* Cost/benefit of the static slice on the TA family at tmin=2, tmax=8
+   (where the property-free slice wins through clock activity and dead
+   writes), plus the analysis-cache counters so the memoisation payoff
+   is on record next to the numbers it pays for. *)
 let pr8_report () =
   Format.printf "@.=== PR8: property-driven slicing sweep ===@.@.";
   let ta_rows =
@@ -482,37 +480,6 @@ let pr8_report () =
         (v, params, fs, ft, t_full, ss, st, t_slice))
       H.Ta_models.all_variants
   in
-  Format.printf "@.";
-  let pa_rows =
-    List.map
-      (fun (v, n, tmin, tmax) ->
-        let params = H.Params.make ~n ~tmin ~tmax () in
-        let full, t_full = time_best 3 (fun () -> H.Pa_verify.explore v params) in
-        let slice, t_slice =
-          time_best 3 (fun () -> H.Pa_verify.explore ~slice:true v params)
-        in
-        let por, t_por =
-          time_best 3 (fun () -> H.Pa_verify.explore ~reduce:true v params)
-        in
-        let both, t_both =
-          time_best 3 (fun () ->
-              H.Pa_verify.explore ~slice:true ~reduce:true v params)
-        in
-        let r a b =
-          float_of_int a.H.Pa_verify.states
-          /. float_of_int b.H.Pa_verify.states
-        in
-        Format.printf
-          "pa %-12s n=%d (%d,%d): %6d states  slice %.2fx  por %.2fx  \
-           slice+por %.2fx (%d states, %.0f st/s)@."
-          (H.Pa_models.variant_name v)
-          n tmin tmax full.H.Pa_verify.states (r full slice) (r full por)
-          (r full both) both.H.Pa_verify.states
-          (float_of_int both.H.Pa_verify.states /. t_both);
-        (v, n, tmin, tmax, (full, t_full), (slice, t_slice), (por, t_por),
-         (both, t_both)))
-      por_points
-  in
   let cache = H.Analysis_cache.stats () in
   Format.printf "@.%a@." H.Analysis_cache.pp cache;
   let rss = peak_rss_kb () in
@@ -533,35 +500,6 @@ let pr8_report () =
         (float_of_int ft /. float_of_int st)
         (float_of_int ss /. t_slice))
     ta_rows;
-  p "\n ],\n";
-  p " \"pa\":[\n";
-  List.iteri
-    (fun k
-         ( v, n, tmin, tmax, (full, t_full), (slice, t_slice), (por, t_por),
-           (both, t_both) ) ->
-      if k > 0 then p ",\n";
-      let cell tag (s : H.Pa_verify.explore_stats) t =
-        p
-          "\"%s\":{\"states\":%d,\"transitions\":%d,\"wall_s\":%.4f,\"states_per_sec\":%.0f,\"state_ratio\":%.2f,\"transition_ratio\":%.2f}"
-          tag s.H.Pa_verify.states s.H.Pa_verify.transitions t
-          (float_of_int s.H.Pa_verify.states /. t)
-          (float_of_int full.H.Pa_verify.states
-          /. float_of_int s.H.Pa_verify.states)
-          (float_of_int full.H.Pa_verify.transitions
-          /. float_of_int s.H.Pa_verify.transitions)
-      in
-      p "  {\"variant\":\"%s\",\"n\":%d,\"tmin\":%d,\"tmax\":%d,"
-        (H.Pa_models.variant_name v)
-        n tmin tmax;
-      cell "full" full t_full;
-      p ",";
-      cell "slice" slice t_slice;
-      p ",";
-      cell "por" por t_por;
-      p ",";
-      cell "slice_por" both t_both;
-      p "}")
-    pa_rows;
   p "\n ],\n";
   p " \"cache\":%s,\n" (H.Analysis_cache.to_json cache);
   p " \"peak_rss_kb\":%d}\n" rss;

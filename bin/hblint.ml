@@ -38,15 +38,12 @@ let run_one name kind : Lint.Report.t =
   match kind with
   | Pa v ->
       (* The PA reports also carry the dependence analysis the ample-set
-         reducer is built on (PA-POR info entries) and what the static
-         slice would remove (PA-SLICE). *)
+         reducer is built on (PA-POR info entries). *)
       let spec = H.Pa_models.build v lint_params in
       let r = Lint.Pa.analyze ~model:name spec in
       Lint.Report.make ~model:name
         ~diags:
-          (r.Lint.Report.diags
-          @ Por.diagnostics (Por.analyze spec)
-          @ Slice.Pa.diagnostics (Slice.Pa.slice spec))
+          (r.Lint.Report.diags @ Por.diagnostics (Por.analyze spec))
         ~stats:r.Lint.Report.stats
   | Ta (v, fixed) ->
       (* TA reports carry the property-free slice summary (TA-SLICE):

@@ -308,22 +308,15 @@ let reduce_arg =
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the deterministic JSON verdict.")
 
-let slice_arg =
-  Arg.(
-    value & flag
-    & info [ "slice" ]
-        ~doc:"Explore the statically sliced model (constant parameter               folding + dead-parameter elimination; exact, same verdicts;               composes with $(b,--reduce)).")
-
-(* Exploration statistics of the (possibly sliced and/or reduced) state
-   space as a deterministic JSON object; with [slice] or [reduce] also
-   the full-space size and the combined reduction ratio, so CI logs show
-   what the passes bought. *)
-let stats_json ~slice ~reduce variant params =
-  let st = H.Pa_verify.explore ~slice ~reduce variant params in
+(* Exploration statistics of the (possibly reduced) state space as a
+   deterministic JSON object; with [reduce] also the full-space size and
+   the reduction ratio, so CI logs show what the reduction bought. *)
+let stats_json ~reduce variant params =
+  let st = H.Pa_verify.explore ~reduce variant params in
   let buf = Buffer.create 128 in
   Printf.bprintf buf "{\"states\":%d,\"transitions\":%d,\"complete\":%b"
     st.H.Pa_verify.states st.H.Pa_verify.transitions st.H.Pa_verify.complete;
-  if slice || reduce then begin
+  if reduce then begin
     let full = H.Pa_verify.explore variant params in
     Printf.bprintf buf ",\"full_states\":%d,\"reduction_ratio\":%.2f"
       full.H.Pa_verify.states
@@ -349,26 +342,25 @@ let resolve_jobs jobs =
   else jobs
 
 let pa_check_cmd =
-  let run variant tmin tmax n slice reduce json jobs bsecs bmb no_degrade req =
+  let run variant tmin tmax n reduce json jobs bsecs bmb no_degrade req =
     let domains = resolve_jobs jobs in
     let params = H.Params.make ~n ~tmin ~tmax () in
     let budget = Cli_resilience.budget bsecs bmb in
     let verdict =
-      H.Pa_verify.check_verdict ~slice ~reduce ~domains ~budget
+      H.Pa_verify.check_verdict ~reduce ~domains ~budget
         ~degrade:(not no_degrade) variant params req
     in
     let print_json verdict_field stats =
       Printf.printf
-        "{\"tool\":\"hbverify\",\"model\":\"pa\",\"variant\":\"%s\",\"tmin\":%d,\"tmax\":%d,\"n\":%d,\"requirement\":\"%s\",\"slice\":%b,\"reduce\":%b,%s,\"stats\":%s}\n"
+        "{\"tool\":\"hbverify\",\"model\":\"pa\",\"variant\":\"%s\",\"tmin\":%d,\"tmax\":%d,\"n\":%d,\"requirement\":\"%s\",\"reduce\":%b,%s,\"stats\":%s}\n"
         (H.Pa_models.variant_name variant)
         params.H.Params.tmin params.H.Params.tmax params.H.Params.n
-        (H.Requirements.name req) slice reduce verdict_field stats
+        (H.Requirements.name req) reduce verdict_field stats
     in
     let print_text status =
-      Format.printf "PA %s %a %s%s%s: %s@."
+      Format.printf "PA %s %a %s%s: %s@."
         (H.Pa_models.variant_name variant)
         H.Params.pp params (H.Requirements.name req)
-        (if slice then " [sliced]" else "")
         (if reduce then " [reduced]" else "")
         status
     in
@@ -376,12 +368,12 @@ let pa_check_cmd =
     | Mc.Safety.Holds ->
         if json then
           print_json "\"verdict\":\"holds\""
-            (stats_json ~slice ~reduce variant params)
+            (stats_json ~reduce variant params)
         else print_text "HOLDS"
     | Mc.Safety.Violated _ ->
         if json then
           print_json "\"verdict\":\"violated\""
-            (stats_json ~slice ~reduce variant params)
+            (stats_json ~reduce variant params)
         else print_text "VIOLATED";
         exit Cli_resilience.exit_violation
     | Mc.Safety.Unknown st ->
@@ -416,8 +408,8 @@ let pa_check_cmd =
        ~doc:"Model-check one requirement on a process-algebra model, \
              optionally with ample-set partial-order reduction.")
     Term.(
-      const run $ pa_variant_arg $ tmin_arg $ tmax_arg $ n_arg $ slice_arg
-      $ reduce_arg $ json_arg $ jobs_arg $ Cli_resilience.budget_secs_arg
+      const run $ pa_variant_arg $ tmin_arg $ tmax_arg $ n_arg $ reduce_arg
+      $ json_arg $ jobs_arg $ Cli_resilience.budget_secs_arg
       $ Cli_resilience.budget_mb_arg $ Cli_resilience.no_degrade_arg
       $ req_arg)
 
@@ -507,16 +499,11 @@ let pa_smoke_cmd =
     Term.(const run $ json_arg)
 
 (* The soundness gate for `make slice`: slicing is an exact projection,
-   so on every shipped variant the sliced, sliced+reduced and full
-   explorations must give the same verdict for every requirement — on
-   both encodings — and every sliced TA counterexample must replay in
-   the full model (the certificate check).  Parameters mirror pa-smoke:
-   small enough for CI, concurrent enough to mean something. *)
+   so on every shipped timed-automata variant the sliced and full
+   explorations must give the same verdict for every requirement, and
+   every sliced counterexample must replay in the full model (the
+   certificate check). *)
 let slice_smoke_cmd =
-  let pa_params variant =
-    if variant = H.Pa_models.Static then H.Params.make ~n:2 ~tmin:2 ~tmax:3 ()
-    else H.Params.make ~n:1 ~tmin:2 ~tmax:4 ()
-  in
   (* tmin = tmax is the race point where the unfixed R2/R3 are violated,
      so the certificate-replay path is actually exercised *)
   let ta_params_list =
@@ -524,41 +511,6 @@ let slice_smoke_cmd =
   in
   let run json =
     let failures = ref 0 in
-    (* PA: verdict parity (full = sliced = sliced+reduced, the latter at
-       domains 1 and 4) and state-count ratios *)
-    let pa_rows =
-      List.map
-        (fun variant ->
-          let params = pa_params variant in
-          let parity =
-            List.for_all
-              (fun req ->
-                let full = H.Pa_verify.check variant params req in
-                let sl = H.Pa_verify.check ~slice:true variant params req in
-                let slred =
-                  H.Pa_verify.check ~slice:true ~reduce:true variant params req
-                in
-                let slpar =
-                  H.Pa_verify.check ~slice:true ~reduce:true ~domains:4 variant
-                    params req
-                in
-                let ok = full = sl && full = slred && full = slpar in
-                if not ok then incr failures;
-                ok)
-              H.Requirements.all
-          in
-          let full = H.Pa_verify.explore variant params in
-          let sl = H.Pa_verify.explore ~slice:true variant params in
-          let slred =
-            H.Pa_verify.explore ~slice:true ~reduce:true variant params
-          in
-          if not
-               (full.H.Pa_verify.complete && sl.H.Pa_verify.complete
-              && slred.H.Pa_verify.complete)
-          then incr failures;
-          (variant, params, parity, full, sl, slred))
-        pa_variants
-    in
     (* TA: verdict parity, certificate replay of every sliced
        counterexample in the full model, and the property-free slice's
        state-count ratio *)
@@ -610,24 +562,8 @@ let slice_smoke_cmd =
             ta_params_list)
         H.Ta_models.all_variants
     in
-    let ratio (full : H.Pa_verify.explore_stats)
-        (sl : H.Pa_verify.explore_stats) =
-      float_of_int full.H.Pa_verify.states
-      /. float_of_int sl.H.Pa_verify.states
-    in
     if json then begin
-      print_string "{\"tool\":\"hbverify\",\"gate\":\"slice-smoke\",\"pa\":[";
-      List.iteri
-        (fun k (variant, params, parity, full, sl, slred) ->
-          if k > 0 then print_string ",";
-          Printf.printf
-            "{\"variant\":\"%s\",\"tmin\":%d,\"tmax\":%d,\"n\":%d,\"parity\":%b,\"full_states\":%d,\"sliced_states\":%d,\"slice_ratio\":%.2f,\"slice_reduce_states\":%d,\"slice_reduce_ratio\":%.2f}"
-            (H.Pa_models.variant_name variant)
-            params.H.Params.tmin params.H.Params.tmax params.H.Params.n parity
-            full.H.Pa_verify.states sl.H.Pa_verify.states (ratio full sl)
-            slred.H.Pa_verify.states (ratio full slred))
-        pa_rows;
-      print_string "],\"ta\":[";
+      print_string "{\"tool\":\"hbverify\",\"gate\":\"slice-smoke\",\"ta\":[";
       List.iteri
         (fun k (variant, params, results, full_states, sliced_states) ->
           if k > 0 then print_string ",";
@@ -645,17 +581,6 @@ let slice_smoke_cmd =
         !failures
     end
     else begin
-      List.iter
-        (fun (variant, params, parity, full, sl, slred) ->
-          Format.printf
-            "PA %-10s %a %s  states %d -> sliced %d (%.2fx) -> +reduce %d \
-             (%.2fx)@."
-            (H.Pa_models.variant_name variant)
-            H.Params.pp params
-            (if parity then "parity ok" else "VERDICT CHANGED")
-            full.H.Pa_verify.states sl.H.Pa_verify.states (ratio full sl)
-            slred.H.Pa_verify.states (ratio full slred))
-        pa_rows;
       List.iter
         (fun (variant, params, results, full_states, sliced_states) ->
           Format.printf "TA %-10s %a " (H.Ta_models.variant_name variant)
@@ -697,11 +622,10 @@ let slice_smoke_cmd =
   in
   Cmd.v
     (Cmd.info "slice-smoke"
-       ~doc:"Static-slicing gate: sliced (and sliced+reduced, sequential \
-             and 4-domain) explorations agree with the full ones on every \
-             requirement verdict for all six variants in both encodings, \
-             sliced counterexamples replay in the full models, and the \
-             slice measurably shrinks at least one state space.")
+       ~doc:"Static-slicing gate: sliced explorations agree with the full \
+             ones on every requirement verdict for all six timed-automata \
+             variants, sliced counterexamples replay in the full models, \
+             and the slice measurably shrinks at least one state space.")
     Term.(const run $ json_arg)
 
 (* The soundness gate for `make zone`: on every shipped variant, the

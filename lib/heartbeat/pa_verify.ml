@@ -100,30 +100,23 @@ let expected_of spec =
   | Lint.Interval.Finite n -> Some n
   | Lint.Interval.Unbounded -> None
 
-(* The explored spec (sliced or not), its POR analysis when reducing,
-   the full system and the sliced one.  A reducing query takes the
-   explored spec's system from the analysis' lowering, so no spec is
+(* The explored system and its POR analysis when reducing.  A reducing
+   query takes the system from the analysis' lowering, so no spec is
    lowered twice. *)
-let systems ~slice ~reduce spec =
-  let sspec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
-  let analysis = if reduce then Some (Por.analyze_cached sspec) else None in
-  let explored =
+let systems ~reduce spec =
+  let analysis = if reduce then Some (Por.analyze_cached spec) else None in
+  let sys =
     match analysis with
     | Some a -> Proc.Semantics.system_of (Por.compiled a)
-    | None -> Proc.Semantics.system sspec
+    | None -> Proc.Semantics.system spec
   in
-  if slice then (sspec, analysis, Proc.Semantics.system spec, Some explored)
-  else (sspec, analysis, explored, None)
+  (analysis, sys)
 
-let check_verdict ?(max_states = default_max) ?(domains = 1) ?(slice = false)
-    ?(reduce = false) ?store ?budget ?degrade variant params req =
+let check_verdict ?(max_states = default_max) ?(domains = 1) ?(reduce = false)
+    ?store ?budget ?degrade variant params req =
   let spec = Pa_models.build variant params in
-  (* the slice never touches action labels, so the monitors and their
-     POR alphabets carry over unchanged; the pre-sizing hint and the
-     reduction are computed over the sliced spec (what is actually
-     explored) *)
-  let sspec, analysis, sys, slice_sys = systems ~slice ~reduce spec in
-  let expected_states = expected_of sspec in
+  let analysis, sys = systems ~reduce spec in
+  let expected_states = expected_of spec in
   (* reduction composes with domains > 1 through the parallel-safe
      proviso: each reduced system is built with [~par:true] and Safety
      is told not to force the sequential engine *)
@@ -137,19 +130,16 @@ let check_verdict ?(max_states = default_max) ?(domains = 1) ?(slice = false)
         in
         match
           Mc.Safety.check_monitor ~max_states ?expected_states ~domains
-            ?slice:slice_sys ?reduction ~parallel_reduction:par ?store
-            ?budget ?degrade sys monitor
+            ?reduction ~parallel_reduction:par ?store ?budget ?degrade sys
+            monitor
         with
         | Mc.Safety.Holds -> go rest
         | v -> v)
   in
   go (monitors variant params req)
 
-let check ?max_states ?domains ?slice ?reduce ?store variant params req =
-  match
-    check_verdict ?max_states ?domains ?slice ?reduce ?store variant params
-      req
-  with
+let check ?max_states ?domains ?reduce ?store variant params req =
+  match check_verdict ?max_states ?domains ?reduce ?store variant params req with
   | Mc.Safety.Holds -> true
   | Mc.Safety.Violated _ -> false
   | Mc.Safety.Unknown n ->
@@ -163,10 +153,9 @@ let check ?max_states ?domains ?slice ?reduce ?store variant params req =
         (Pa_models.variant_name variant)
         (Requirements.name req)
 
-let state_count ?(max_states = default_max) ?(domains = 1) ?(slice = false)
-    ?(reduce = false) ?store variant params =
+let state_count ?(max_states = default_max) ?(domains = 1) ?(reduce = false)
+    ?store variant params =
   let spec = Pa_models.build variant params in
-  let spec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
   let expected_states = expected_of spec in
   let parallel = domains > 1 || store <> None in
   let count, complete =
@@ -184,10 +173,8 @@ let state_count ?(max_states = default_max) ?(domains = 1) ?(slice = false)
 
 type explore_stats = { states : int; transitions : int; complete : bool }
 
-let explore ?(max_states = default_max) ?(slice = false) ?(reduce = false)
-    variant params =
+let explore ?(max_states = default_max) ?(reduce = false) variant params =
   let spec = Pa_models.build variant params in
-  let spec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
   let expected_states = expected_of spec in
   let sys =
     if reduce then Por.reduced_system (Por.analyze_cached spec)
@@ -201,30 +188,28 @@ let explore ?(max_states = default_max) ?(slice = false) ?(reduce = false)
   }
 
 let check_live ?(engine = Ltl.Check.Ndfs) ?(max_states = default_max)
-    ?(slice = false) ?(reduce = false) ?(domains = 1) ?store ?budget variant
-    params req =
+    ?(reduce = false) ?(domains = 1) ?store ?budget variant params req =
   let spec = Pa_models.build variant params in
-  let _, analysis, sys, slice_sys = systems ~slice ~reduce spec in
+  let analysis, sys = systems ~reduce spec in
   let reduction =
     Option.map
       (fun a ~alphabet -> Por.reduction ~par:(domains > 1) a ~alphabet)
       analysis
   in
-  Ltl.Check.check ~engine ~fairness:Requirements.live_fairness_pa
-    ?slice:slice_sys ?reduction ~max_states ~domains ?store ?budget sys
+  Ltl.Check.check ~engine ~fairness:Requirements.live_fairness_pa ?reduction
+    ~max_states ~domains ?store ?budget sys
     (Requirements.live_formula_pa variant params req)
 
 let check_live_run ?(engine = Ltl.Check.Ndfs) ?(max_states = default_max)
-    ?(slice = false) ?(reduce = false) ?(domains = 1) ?store ?budget
-    ?checkpoint ?resume variant params req =
+    ?(reduce = false) ?(domains = 1) ?store ?budget ?checkpoint ?resume
+    variant params req =
   let spec = Pa_models.build variant params in
-  let _, analysis, sys, slice_sys = systems ~slice ~reduce spec in
+  let analysis, sys = systems ~reduce spec in
   let reduction =
     Option.map
       (fun a ~alphabet -> Por.reduction ~par:(domains > 1) a ~alphabet)
       analysis
   in
   Ltl.Check.check_run ~engine ~fairness:Requirements.live_fairness_pa
-    ?slice:slice_sys ?reduction ~max_states ~domains ?store ?budget
-    ?checkpoint ?resume sys
+    ?reduction ~max_states ~domains ?store ?budget ?checkpoint ?resume sys
     (Requirements.live_formula_pa variant params req)

@@ -14,7 +14,6 @@
 val check_verdict :
   ?max_states:int ->
   ?domains:int ->
-  ?slice:bool ->
   ?reduce:bool ->
   ?store:Mc.Store.mode ->
   ?budget:Mc.Budget.t ->
@@ -33,7 +32,6 @@ val check_verdict :
 val check :
   ?max_states:int ->
   ?domains:int ->
-  ?slice:bool ->
   ?reduce:bool ->
   ?store:Mc.Store.mode ->
   Pa_models.variant ->
@@ -52,19 +50,11 @@ val check :
     is forwarded to the engine ({!Mc.Safety}); a
     [true] result under a compressed store is probabilistic in the
     usual under-approximating sense.
-
-    [slice] (default false) first runs the property-directed static
-    slice ({!Slice.Pa}) over the spec and explores the sliced system
-    instead; action labels are never touched by the slice, so the
-    monitors, their POR alphabets, and the verdict carry over exactly.
-    The pre-sizing hint and (with [reduce]) the ample-set analysis are
-    computed over the sliced spec — the model actually explored.
     @raise Failure if the state bound (default 4 million) is exceeded. *)
 
 val state_count :
   ?max_states:int ->
   ?domains:int ->
-  ?slice:bool ->
   ?reduce:bool ->
   ?store:Mc.Store.mode ->
   Pa_models.variant ->
@@ -80,7 +70,6 @@ type explore_stats = { states : int; transitions : int; complete : bool }
 
 val explore :
   ?max_states:int ->
-  ?slice:bool ->
   ?reduce:bool ->
   Pa_models.variant ->
   Params.t ->
@@ -94,7 +83,6 @@ val explore :
 val check_live :
   ?engine:Ltl.Check.engine ->
   ?max_states:int ->
-  ?slice:bool ->
   ?reduce:bool ->
   ?domains:int ->
   ?store:Mc.Store.mode ->
@@ -114,7 +102,6 @@ val check_live :
 val check_live_run :
   ?engine:Ltl.Check.engine ->
   ?max_states:int ->
-  ?slice:bool ->
   ?reduce:bool ->
   ?domains:int ->
   ?store:Mc.Store.mode ->

@@ -51,6 +51,10 @@ let load ~file ~kind =
                     let digest = really_input_string ic 16 in
                     let len = input_binary_int ic in
                     if len < 0 then Error "corrupt checkpoint (payload length)"
+                    else if len > in_channel_length ic - pos_in ic then
+                      (* checked before [really_input_string] allocates
+                         [len] bytes for a forged length *)
+                      Error "truncated checkpoint"
                     else
                       let data = really_input_string ic len in
                       if Digest.string data <> digest then

@@ -193,9 +193,11 @@ let lex (src : string) : (token * int) array =
       let j = ref !i in
       while !j < n && src.[!j] >= '0' && src.[!j] <= '9' do incr j done;
       let lit = String.sub src !i (!j - !i) in
+      (* the clock cap is inferred as the biggest literal + 2, which
+         must not wrap *)
       (match int_of_string_opt lit with
-       | Some v -> toks := (Tint v, !line) :: !toks
-       | None -> err "integer literal %s out of range" lit);
+       | Some v when v <= max_int - 2 -> toks := (Tint v, !line) :: !toks
+       | _ -> err "integer literal %s out of range" lit);
       i := !j
     end
     else if is_id_start c then begin

@@ -165,7 +165,19 @@ let test_xta_parse_errors () =
       ("@", "unexpected character");
       ("clock x;\n\nint n = 99999999999999999999;\nsystem P;",
        "line 3: integer literal 99999999999999999999 out of range");
-    ]
+      (* the inferred clock cap (biggest literal + 2) would wrap *)
+      ("clock x;\n\nint n = 4611686018427387903;\nsystem P;",
+       "line 3: integer literal 4611686018427387903 out of range");
+      ("clock x;\nint n = 4611686018427387902;\nsystem P;",
+       "line 2: integer literal 4611686018427387902 out of range");
+    ];
+  let m =
+    Ta.Xta.parse
+      "clock x;\nint n = 0;\nprocess P() { state A; init A;\n  trans A -> \
+       A { assign n = 4611686018427387901; }; }\nsystem P;"
+  in
+  check Alcotest.int "largest accepted literal caps clocks at max_int" max_int
+    (List.hd m.Ta.Model.clocks).Ta.Model.cap
 
 let tests =
   ( "export",

@@ -333,7 +333,7 @@ let test_variant_parallel_reduced_parity () =
                 (Heartbeat.Pa_verify.check ~reduce:true ~domains v params req))
             [ 1; 4 ])
         Heartbeat.Requirements.all)
-    [ Heartbeat.Pa_models.Binary; Heartbeat.Pa_models.Static ]
+    pa_variants
 
 let test_cross_domain_fallback_pinned () =
   (* Pinned regression for the conservative cross-domain fallback.

@@ -220,20 +220,32 @@ let test_checkpoint_old_version () =
   Fun.protect ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
   @@ fun () ->
   let kind = "test/resilience/v1" and payload = "not a marshalled value" in
-  let oc = open_out_bin file in
-  output_string oc "HBCKPT01";
-  output_binary_int oc 1;
-  output_binary_int oc (String.length kind);
-  output_string oc kind;
-  output_string oc (Digest.string payload);
-  output_binary_int oc (String.length payload);
-  output_string oc payload;
-  close_out oc;
+  let forge ~version ~len =
+    let oc = open_out_bin file in
+    output_string oc "HBCKPT01";
+    output_binary_int oc version;
+    output_binary_int oc (String.length kind);
+    output_string oc kind;
+    output_string oc (Digest.string payload);
+    output_binary_int oc len;
+    output_string oc payload;
+    close_out oc
+  in
+  forge ~version:1 ~len:(String.length payload);
   check Alcotest.int "current version" 2 Mc.Checkpoint.version;
-  match Mc.Checkpoint.load ~file ~kind with
+  (match Mc.Checkpoint.load ~file ~kind with
   | Error e ->
       check Alcotest.string "refused" "checkpoint version 1 not supported (expected 2)" e
-  | Ok (_ : string) -> Alcotest.fail "version-1 container was accepted"
+  | Ok (_ : string) -> Alcotest.fail "version-1 container was accepted");
+  (* a forged payload length far past the end of the file is refused
+     before anything of that size is allocated *)
+  forge ~version:Mc.Checkpoint.version ~len:0x7fff_ffff;
+  let before = Gc.allocated_bytes () in
+  (match Mc.Checkpoint.load ~file ~kind with
+  | Error e -> check Alcotest.string "forged length" "truncated checkpoint" e
+  | Ok (_ : string) -> Alcotest.fail "forged payload length was accepted");
+  check Alcotest.bool "forged length allocates < 1 MiB" true
+    (Gc.allocated_bytes () -. before < 1048576.)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel suspend/resume: verdict- and set-identical, all stores.     *)

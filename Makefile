@@ -62,15 +62,20 @@ por:
 	$(DUNE) exec bin/hbexplore.exe -- pa-stats --reduce > _build/hbpastats.txt
 	cmp _build/hbpastats.txt test/golden/pa-stats.txt
 
-# Parallel-engine gate: the qcheck parity harness for the parallel
-# engine (spaces byte-identical to Mc.Explore across stores x domain
-# counts, goal and truncation verdicts in parity), the
+# Exploration-engine gate: the sequential explorer's suite, including
+# the reference oracle (Mc.Explore's flat index byte-identical to the
+# Hashtbl explorer in test/explore_ref.ml under its own, a constant and
+# a negated hash, through truncation, index growth, suspend/resume and
+# resumes from parallel-order cursors), the qcheck parity harness for
+# the parallel engine (spaces byte-identical to Mc.Explore across
+# stores x domain counts, goal and truncation verdicts in parity), the
 # store-compression units (hash-compaction, bitstate coverage
 # estimates, collision injection), the POR soundness suite including
 # the parallel cycle proviso, then a CLI check that hbexplore stats
 # prints the same bytes, plain and --json, on the sequential route
 # (-j 1) and the parallel one (-j 2).
 par:
+	$(DUNE) exec test/main.exe -- test mc
 	$(DUNE) exec test/main.exe -- test pexplore
 	$(DUNE) exec test/main.exe -- test store
 	$(DUNE) exec test/main.exe -- test por

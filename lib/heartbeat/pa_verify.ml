@@ -93,8 +93,9 @@ let monitors variant (p : Params.t) req :
       ]
 
 (* The lint pass's static state bound, as an [expected_states] table
-   pre-sizing hint for the explorer.  Memoised on the spec term: sweeps
-   revisit the same spec for several requirements and engines. *)
+   pre-sizing hint for the parallel explorer.  Memoised on the spec
+   term: sweeps revisit the same spec for several requirements and
+   engines. *)
 let expected_of spec =
   match Lint.Pa.static_bound_cached spec with
   | Lint.Interval.Finite n -> Some n
@@ -166,7 +167,7 @@ let state_count ?(max_states = default_max) ?(domains = 1) ?(reduce = false)
     in
     if parallel then
       Mc.Pexplore.count ~max_states ?expected_states ~domains ?store sys
-    else Mc.Explore.count ~max_states ?expected_states sys
+    else Mc.Explore.count ~max_states sys
   in
   if not complete then failwith "Pa_verify.state_count: state bound exceeded";
   count
@@ -175,12 +176,11 @@ type explore_stats = { states : int; transitions : int; complete : bool }
 
 let explore ?(max_states = default_max) ?(reduce = false) variant params =
   let spec = Pa_models.build variant params in
-  let expected_states = expected_of spec in
   let sys =
     if reduce then Por.reduced_system (Por.analyze_cached spec)
     else Proc.Semantics.system spec
   in
-  let space = Mc.Explore.space ~max_states ?expected_states sys in
+  let space = Mc.Explore.space ~max_states sys in
   {
     states = Lts.Graph.num_states space.Mc.Explore.lts;
     transitions = Lts.Graph.num_transitions space.Mc.Explore.lts;

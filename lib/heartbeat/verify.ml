@@ -8,10 +8,10 @@ type outcome = {
 let default_max = 5_000_000
 
 (* The lint pass's static state bound, as an [expected_states] table
-   pre-sizing hint for the explorer.  [None] (bound saturated or model
-   truly unbounded) falls back to the engine's default growth.  The
-   bound is memoised on the model term: sweeps revisit the same model
-   for several requirements and parameters. *)
+   pre-sizing hint for the parallel explorer.  [None] (bound saturated
+   or model truly unbounded) falls back to the engine's default growth.
+   The bound is memoised on the model term: sweeps revisit the same
+   model for several requirements and parameters. *)
 let expected_of model =
   match Lint.Ta_model.static_bound_cached model with
   | Lint.Interval.Finite n -> Some n
@@ -239,13 +239,12 @@ let deadlocks ?(fixed = false) ?(max_states = default_max) ?(domains = 1)
   let net = Ta.Semantics.compile model in
   let sys = Ta.Semantics.system net in
   let goal c = Ta.Semantics.successors net c = [] in
-  let expected_states = expected_of model in
   match
     if domains <= 1 && store = Mc.Store.Exact && budget = None then
-      Mc.Explore.find ~max_states ?expected_states ~goal sys
+      Mc.Explore.find ~max_states ~goal sys
     else
-      Mc.Pexplore.find ~max_states ?expected_states ~domains ~store
-        ?budget ?degrade ~goal sys
+      Mc.Pexplore.find ~max_states ?expected_states:(expected_of model)
+        ~domains ~store ?budget ?degrade ~goal sys
   with
   | Mc.Explore.Unreachable -> Mc.Safety.Holds
   | Mc.Explore.Reached w -> Mc.Safety.Violated w.Mc.Explore.trace

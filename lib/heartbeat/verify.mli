@@ -42,8 +42,8 @@ val check :
     out, constants folded, and per-location inactive clocks zeroed.
     The verdict is unchanged (the slice is an exact label-preserving
     projection) and the counterexample trace replays in the full model
-    ({!Slice.replay}); the explorer pre-sizing then uses the
-    activity-aware post-slice bound.
+    ({!Slice.replay}); the parallel explorer's pre-sizing then uses
+    the activity-aware post-slice bound.
     [budget] bounds the run by wall clock / live heap; a trip is
     reported in [outcome.exhausted] rather than raising, and with
     [degrade] (default [true]) memory trips first walk the store down

@@ -59,5 +59,13 @@ let load ~file ~kind =
                       let data = really_input_string ic len in
                       if Digest.string data <> digest then
                         Error "corrupt checkpoint (digest mismatch)"
-                      else Ok (Marshal.from_string data 0)
+                      else
+                        (* the digest only proves the payload is what was
+                           written, not that a marshaller wrote it *)
+                        match Marshal.from_string data 0 with
+                        | v -> Ok v
+                        | exception (Failure _ | Invalid_argument _) ->
+                            Error
+                              "corrupt checkpoint (payload is not a \
+                               marshalled value)"
           with End_of_file -> Error "truncated checkpoint"))

@@ -24,4 +24,6 @@ val save : file:string -> kind:string -> 'a -> unit
 val load : file:string -> kind:string -> ('a, string) result
 (** Validate magic, version, kind and digest, then unmarshal.  The
     caller must ask for the same ['a] it saved — the [kind] string is
-    the guard for that. *)
+    the guard for that.  Never raises on a malformed file: every
+    failure, including a payload that is not a marshalled value, is an
+    [Error] message. *)

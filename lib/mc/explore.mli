@@ -3,8 +3,11 @@
     Breadth-first exploration of a {!System.S} with hashed duplicate
     detection, producing either the full state space as an
     {!Lts.Graph.t}, a shortest witness trace to a goal state, or summary
-    statistics.  All entry points take an optional [max_states] bound; when
-    the bound is hit the result is marked incomplete rather than failing.
+    statistics.  Duplicate detection is one flat open-addressing index
+    over state ids: each generated state is hashed exactly once, and the
+    index doubles as it fills, so there is nothing to pre-size.  All
+    entry points take an optional [max_states] bound; when the bound is
+    hit the result is marked incomplete rather than failing.
 
     Entry points additionally accept a {!Budget.t}: the loop polls it
     once per expanded state and, on a trip, stops cooperatively — {!find}
@@ -21,11 +24,6 @@ type ('s, 'l) space = {
 
 val default_max : int
 (** The default [max_states] bound (one million). *)
-
-val sizing_cap : int
-(** Upper clamp (2{^22}) applied to [expected_states] hints when sizing
-    the duplicate-detection tables, so an overestimated static bound
-    cannot allocate a huge empty table. *)
 
 type exhaustion = {
   reason : Budget.reason;  (** which limit tripped *)
@@ -60,7 +58,6 @@ type ('s, 'l) run_result =
 
 val space_run :
   ?max_states:int ->
-  ?expected_states:int ->
   ?budget:Budget.t ->
   ?checkpoint:(int * (('s, 'l) cursor -> unit)) ->
   ?resume:('s, 'l) cursor ->
@@ -79,8 +76,7 @@ val space_run :
     resuming them here yields the same state {e set} and verdicts but
     not necessarily the same numbering. *)
 
-val space :
-  ?max_states:int -> ?expected_states:int -> ('s, 'l) System.t -> ('s, 'l) space
+val space : ?max_states:int -> ('s, 'l) System.t -> ('s, 'l) space
 (** [space sys] builds the reachable state graph of [sys] breadth-first.
     [max_states] defaults to {!default_max}.
 
@@ -114,7 +110,6 @@ type ('s, 'l) verdict =
 
 val find :
   ?max_states:int ->
-  ?expected_states:int ->
   ?budget:Budget.t ->
   goal:('s -> bool) ->
   ('s, 'l) System.t ->
@@ -126,14 +121,9 @@ val find :
 
 val count :
   ?max_states:int ->
-  ?expected_states:int ->
   ?budget:Budget.t ->
   ('s, 'l) System.t ->
   int * bool
 (** [count sys] is the number of reachable states paired with a completeness
     flag; cheaper than {!space} as no graph is retained.  A budget trip
-    reports the states counted so far with [complete = false].
-
-    All entry points accept an [expected_states] hint (typically the lint
-    pass's static state bound) that pre-sizes the duplicate-detection
-    table, clamped to [[4096, sizing_cap]]; results are unaffected. *)
+    reports the states counted so far with [complete = false]. *)

@@ -84,6 +84,11 @@ let default_domains () = max 1 (Domain.recommended_domain_count ())
 (* Lock stripes of the state table. *)
 let shards = 64
 
+(* Upper clamp on an [expected_states] hint when pre-sizing the state
+   table, so a wildly overestimated static bound cannot allocate a huge
+   empty table. *)
+let sizing_cap = 1 lsl 22
+
 (* Work items per deque chunk. *)
 let chunk_cap = 128
 
@@ -389,7 +394,7 @@ module Engine (S : System.S) = struct
     let expected =
       match expected_states with
       | None -> 512 * shards
-      | Some n -> max (512 * shards) (min n Explore.sizing_cap)
+      | Some n -> max (512 * shards) (min n sizing_cap)
     in
     St.create ~expected ~shards mode
 

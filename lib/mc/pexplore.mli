@@ -80,7 +80,7 @@ val space :
 
     [expected_states] (typically the lint pass's static state bound)
     pre-sizes the lock-striped state table: the hint is clamped to
-    {!Explore.sizing_cap} and split evenly across the stripes.  Results
+    2{^22} states and split evenly across the stripes.  Results
     are unaffected.
 
     @raise Invalid_argument on a {!Store.Bitstate} store, which cannot

@@ -27,11 +27,13 @@ let product (type s l) (sys : (s, l) System.t) (m : l Monitor.t) :
 
 (* Route goal searches through the sequential or the parallel engine: a
    non-exact store forces Pexplore even on one domain (the sequential
-   engine has no store support). *)
+   engine has no store support).  Only Pexplore's lock-striped table is
+   pre-sized from [expected_states]; the sequential index grows by
+   doubling. *)
 let run_find ?max_states ?expected_states ?(domains = 1)
     ?(store = Store.Exact) ?budget ?degrade ~goal sys =
   if domains <= 1 && store = Store.Exact then
-    Explore.find ?max_states ?expected_states ?budget ~goal sys
+    Explore.find ?max_states ?budget ~goal sys
   else
     Pexplore.find ?max_states ?expected_states ~domains ~store ?budget
       ?degrade ~goal sys

@@ -35,8 +35,9 @@ val check_monitor :
     selects the exploration engine: [1] uses the sequential {!Explore},
     more uses the parallel {!Pexplore} with that many domains; verdicts
     and counterexample lengths are identical either way.  [expected_states]
-    is forwarded to the engine as a table pre-sizing hint (see
-    {!Pexplore.space}); it never affects verdicts.
+    pre-sizes {!Pexplore}'s state table when the query takes that route
+    (see {!Pexplore.space}) and is ignored by the sequential engine,
+    whose index grows by doubling; it never affects verdicts.
 
     [store] (default {!Store.Exact}) selects the state-storage mode; any
     non-exact store routes through {!Pexplore} even on one domain.  A

@@ -396,6 +396,48 @@ let test_counterexample_is_executable () =
       let final = List.fold_left step [ Ta.Semantics.initial net ] trace in
       check Alcotest.bool "trace is executable" true (final <> [])
 
+(* --- pinned counterexamples ------------------------------------------ *)
+
+(* The violated cells of Tables 1 and 2 at the two cheapest datasets that
+   between them refute R1 (at (1,10)) and R2/R3 (at (10,10)) on all six
+   variants: each cell's shortest counterexample, printed label by label,
+   goes into one digest.  The expected value was captured with the
+   Hashtbl-based explorer, so any change to the explorer's discovery
+   order or trace reconstruction shows here. *)
+let violated_cells =
+  List.concat_map
+    (fun v ->
+      [
+        (v, (1, 10), H.Requirements.R1);
+        (v, (10, 10), H.Requirements.R2);
+        (v, (10, 10), H.Requirements.R3);
+      ])
+    H.Ta_models.all_variants
+
+let counterexample_text () =
+  let b = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer b in
+  List.iter
+    (fun (v, (tmin, tmax), req) ->
+      let p = H.Params.make ~tmin ~tmax () in
+      match (H.Verify.check v p req).H.Verify.counterexample with
+      | None ->
+          Alcotest.failf "%s (%d,%d) %s: no counterexample"
+            (H.Ta_models.variant_name v) tmin tmax (H.Requirements.name req)
+      | Some trace ->
+          Format.fprintf ppf "%s (%d,%d) %s:" (H.Ta_models.variant_name v) tmin
+            tmax (H.Requirements.name req);
+          List.iter (Format.fprintf ppf " %a;" Ta.Semantics.pp_label) trace;
+          Format.fprintf ppf "@\n")
+    violated_cells;
+  Format.pp_print_flush ppf ();
+  Buffer.contents b
+
+let test_counterexample_digest () =
+  check Alcotest.string "counterexample digest"
+    "52a297d8702c9d8d320c527c5e939522"
+    (Digest.to_hex (Digest.string (counterexample_text ())))
+
 let quick name f = Alcotest.test_case name `Quick f
 let slow name f = Alcotest.test_case name `Slow f
 
@@ -434,6 +476,8 @@ let tests =
       slow "static protocol with two participants" test_static_two_participants;
       quick "component figures" test_figure_lts;
       quick "counterexamples replay" test_counterexample_is_executable;
+      quick "Tables 1-2 counterexamples pinned by digest"
+        test_counterexample_digest;
     ] )
 
 (* --- MSC rendering --- *)

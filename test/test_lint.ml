@@ -354,15 +354,11 @@ let test_bound_sound_pa () =
 (* --- explorer pre-sizing parity --------------------------------------- *)
 
 let test_presize_parity () =
-  (* A table-sizing hint — absent, huge, or absurdly small — must never
+  (* A table-sizing hint — here an absurdly small one — must never
      change exploration results. *)
   let m = H.Ta_models.build H.Ta_models.Binary small in
   let sys = Ta.Semantics.system (Ta.Semantics.compile m) in
   let base, bc = Mc.Explore.count sys in
-  let hinted, hc = Mc.Explore.count ~expected_states:1_000_000 sys in
-  let tiny, tc = Mc.Explore.count ~expected_states:1 sys in
-  check Alcotest.(pair int bool) "seq hinted" (base, bc) (hinted, hc);
-  check Alcotest.(pair int bool) "seq tiny hint" (base, bc) (tiny, tc);
   let par, pc = Mc.Pexplore.count ~domains:2 ~expected_states:7 sys in
   check Alcotest.(pair int bool) "par hinted" (base, bc) (par, pc)
 

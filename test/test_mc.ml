@@ -576,3 +576,222 @@ let ctl_tests =
   ]
 
 let tests = (fst tests, snd tests @ ctl_tests)
+
+(* --- the flat index against the Hashtbl reference -------------------- *)
+
+(* Mc.Explore must agree byte for byte with [Explore_ref], the
+   Hashtbl-based explorer it replaced: spaces, cursors, verdicts and
+   traces.  Each system is run under its own hash, a constant hash
+   (every state collides, so probe chains run the length of the table)
+   and a negated one (every hash negative). *)
+
+let hashes =
+  [
+    ("own", Hashtbl.hash);
+    ("constant", fun (_ : int) -> 42);
+    ("negated", fun s -> -1 - Hashtbl.hash s);
+  ]
+
+let rehashed (type l) hash (sys : (int, l) Mc.System.t) : (int, l) Mc.System.t =
+  let module S = (val sys) in
+  (module struct
+    include S
+
+    let hash_state = hash
+  end)
+
+let bytes x = Marshal.to_string x [ Marshal.No_sharing ]
+
+let space_bytes (sp : (int, string) Mc.Explore.space) =
+  bytes (sp.Mc.Explore.lts, sp.Mc.Explore.states, sp.Mc.Explore.complete)
+
+(* A budget that trips on its [k]-th probe: in the sequential engine,
+   after [k - 1] expanded states. *)
+let tripping_budget k =
+  let calls = Atomic.make 0 in
+  Mc.Budget.make ~check_every:1
+    ~probe:(fun () ->
+      if Atomic.fetch_and_add calls 1 >= k - 1 then Some Mc.Budget.Cancelled
+      else None)
+    ()
+
+(* Everything both engines answer on [sys]: the space, its checkpoint
+   snapshots every [every] expansions, the cursor of a run suspended
+   after [k - 1] expansions, the count, and a goal search. *)
+let agrees ?max_states ~every ~k ~goal sys =
+  let snaps run =
+    let acc = ref [] in
+    let r = run ~checkpoint:(every, fun c -> acc := c :: !acc) in
+    (r, bytes !acc)
+  in
+  let sp, sp_snaps =
+    snaps (fun ~checkpoint -> Mc.Explore.space_run ?max_states ~checkpoint sys)
+  and rsp, rsp_snaps =
+    snaps (fun ~checkpoint -> Explore_ref.space_run ?max_states ~checkpoint sys)
+  in
+  let suspended run =
+    match run ~budget:(tripping_budget k) with
+    | Mc.Explore.Suspended (_, c) -> Some c
+    | Mc.Explore.Done _ -> None
+  in
+  let cur = suspended (fun ~budget -> Mc.Explore.space_run ?max_states ~budget sys)
+  and rcur =
+    suspended (fun ~budget -> Explore_ref.space_run ?max_states ~budget sys)
+  in
+  let resumed =
+    match cur with
+    | None -> true
+    | Some c -> bytes (Mc.Explore.space_run ?max_states ~resume:c sys) = bytes rsp
+  in
+  bytes sp = bytes rsp && sp_snaps = rsp_snaps
+  && bytes cur = bytes rcur && resumed
+  && Mc.Explore.count ?max_states sys = Explore_ref.count ?max_states sys
+  && bytes (Mc.Explore.find ?max_states ~goal sys)
+     = bytes (Explore_ref.find ?max_states ~goal sys)
+
+let prop_reference_parity =
+  QCheck.Test.make ~name:"explore = Hashtbl reference (3 hashes, bounds)"
+    ~count:300
+    QCheck.(
+      quad Test_pexplore.rand_sys_arb small_nat small_nat (pair small_nat small_nat))
+    (fun (rs, m, g, (k, every)) ->
+      let goal s = s = g mod rs.Test_pexplore.n in
+      List.for_all
+        (fun (_, hash) ->
+          let sys = rehashed hash (Test_pexplore.table_system rs) in
+          List.for_all
+            (fun max_states ->
+              agrees ?max_states ~every:(1 + (every mod 5))
+                ~k:(1 + (k mod (rs.Test_pexplore.n + 2)))
+                ~goal sys)
+            [ None; Some (m mod (rs.Test_pexplore.n + 3)) ])
+        hashes)
+
+(* A sparse graph over [0, n): big enough that the index doubles from
+   4096 slots several times. *)
+let wide n : (int, string) Mc.System.t =
+  (module struct
+    type state = int
+    type label = string
+
+    let initial = 0
+
+    let successors s =
+      List.filter
+        (fun (_, t) -> t < n)
+        [ ("a", (2 * s) + 1); ("b", (2 * s) + 2); ("c", ((s * 7) + 3) mod n) ]
+
+    let equal_state = Int.equal
+    let hash_state = Hashtbl.hash
+    let pp_state = Format.pp_print_int
+    let pp_label = Format.pp_print_string
+  end)
+
+let test_reference_growth () =
+  List.iter
+    (fun (name, hash) ->
+      (* a constant hash makes every lookup a full scan: keep it small *)
+      let n = if name = "constant" then 3000 else 20000 in
+      let sys = rehashed hash (wide n) in
+      List.iter
+        (fun max_states ->
+          check Alcotest.bool
+            (Printf.sprintf "%s hash, max_states %s" name
+               (match max_states with None -> "-" | Some m -> string_of_int m))
+            true
+            (agrees ?max_states ~every:1000 ~k:(n / 2)
+               ~goal:(fun s -> s = n - 1)
+               sys))
+        [ None; Some (n / 3) ])
+    hashes
+
+(* Resuming a parallel engine's cursor: its frontier is sorted by id but
+   need not be a suffix of the ids, so the sequential loop must drain it
+   before the ids interned after it.  Real 2-domain cursors have such
+   frontiers only when a second hardware thread ran; the out-of-order
+   cursor below has one on any host — it is a sequential cursor whose
+   last frontier state a worker already expanded. *)
+let expand_last (type s l) (sys : (s, l) Mc.System.t)
+    (c : (s, l) Mc.Explore.cursor) =
+  let module S = (val sys) in
+  let q = c.Mc.Explore.c_queue in
+  let last = q.(Array.length q - 1) in
+  let states = ref (List.rev (Array.to_list c.Mc.Explore.c_states)) in
+  let depths = ref (List.rev (Array.to_list c.Mc.Explore.c_depths)) in
+  let n = ref (Array.length c.Mc.Explore.c_states) in
+  let fresh = ref [] and trans = ref c.Mc.Explore.c_trans in
+  List.iter
+    (fun (l, s') ->
+      let j =
+        match
+          List.find_index (S.equal_state s') (List.rev !states)
+        with
+        | Some j -> j
+        | None ->
+            states := s' :: !states;
+            depths := (c.Mc.Explore.c_depths.(last) + 1) :: !depths;
+            fresh := !n :: !fresh;
+            incr n;
+            !n - 1
+      in
+      trans := (last, l, j) :: !trans)
+    (S.successors c.Mc.Explore.c_states.(last));
+  {
+    c with
+    Mc.Explore.c_states = Array.of_list (List.rev !states);
+    c_depths = Array.of_list (List.rev !depths);
+    c_trans = !trans;
+    c_queue =
+      Array.append (Array.sub q 0 (Array.length q - 1))
+        (Array.of_list (List.rev !fresh));
+  }
+
+let is_id_suffix (c : _ Mc.Explore.cursor) =
+  let n = Array.length c.Mc.Explore.c_states and q = c.Mc.Explore.c_queue in
+  let m = Array.length q in
+  let rec go i = i = m || (q.(i) = n - m + i && go (i + 1)) in
+  go 0
+
+let state_set (sp : (int, string) Mc.Explore.space) =
+  List.sort compare (Array.to_list sp.Mc.Explore.states)
+
+let test_resume_parallel_cursor () =
+  let sys = wide 3000 in
+  let full = state_set (Mc.Explore.space sys) in
+  let resume what (c : (int, string) Mc.Explore.cursor) =
+    match
+      ( Mc.Explore.space_run ~resume:c sys,
+        Explore_ref.space_run ~resume:c sys )
+    with
+    | Mc.Explore.Done sp, Mc.Explore.Done rsp ->
+        check Alcotest.bool (what ^ ": state set") true (state_set sp = full);
+        check Alcotest.bool (what ^ ": = reference resume") true
+          (space_bytes sp = space_bytes rsp)
+    | _ -> Alcotest.fail (what ^ ": resume suspended")
+  in
+  (match Mc.Explore.space_run ~budget:(tripping_budget 700) sys with
+  | Mc.Explore.Suspended (_, c) ->
+      check Alcotest.bool "sequential frontier is an id suffix" true
+        (is_id_suffix c);
+      let c' = expand_last sys c in
+      check Alcotest.bool "out-of-order frontier is not" false (is_id_suffix c');
+      resume "out-of-order cursor" c'
+  | Mc.Explore.Done _ -> Alcotest.fail "sequential run did not suspend");
+  List.iter
+    (fun k ->
+      match Mc.Pexplore.space_run ~domains:2 ~budget:(tripping_budget k) sys with
+      | Mc.Explore.Suspended (_, c), _ ->
+          resume (Printf.sprintf "2-domain cursor after %d polls" k) c
+      | Mc.Explore.Done _, _ -> ())
+    [ 5; 10; 20 ]
+
+let oracle_tests =
+  [
+    QCheck_alcotest.to_alcotest prop_reference_parity;
+    Alcotest.test_case "reference parity through index growth" `Quick
+      test_reference_growth;
+    Alcotest.test_case "resume from a parallel-order cursor" `Quick
+      test_resume_parallel_cursor;
+  ]
+
+let tests = (fst tests, snd tests @ oracle_tests)

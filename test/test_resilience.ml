@@ -214,7 +214,9 @@ let test_checkpoint_container () =
 
 (* A container of an older layout version is refused before its payload
    is unmarshalled: the payload here is not a marshalled value at all
-   (but carries a valid digest), so unmarshalling it would raise. *)
+   (but carries a valid digest).  Forged headers around it — a payload
+   length past the end of the file, or the current version — are
+   refused with located errors too. *)
 let test_checkpoint_old_version () =
   let file = Filename.temp_file "hbckpt" ".ck" in
   Fun.protect ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
@@ -245,7 +247,15 @@ let test_checkpoint_old_version () =
   | Error e -> check Alcotest.string "forged length" "truncated checkpoint" e
   | Ok (_ : string) -> Alcotest.fail "forged payload length was accepted");
   check Alcotest.bool "forged length allocates < 1 MiB" true
-    (Gc.allocated_bytes () -. before < 1048576.)
+    (Gc.allocated_bytes () -. before < 1048576.);
+  (* a current container whose digest matches a payload that no
+     marshaller wrote is refused, not raised *)
+  forge ~version:Mc.Checkpoint.version ~len:(String.length payload);
+  match Mc.Checkpoint.load ~file ~kind with
+  | Error e ->
+      check Alcotest.string "forged payload"
+        "corrupt checkpoint (payload is not a marshalled value)" e
+  | Ok (_ : string) -> Alcotest.fail "forged payload was accepted"
 
 (* ------------------------------------------------------------------ *)
 (* Parallel suspend/resume: verdict- and set-identical, all stores.     *)
